@@ -20,6 +20,7 @@ import (
 
 	lona "repro"
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -171,7 +172,7 @@ func BenchmarkA5Relational(b *testing.B) {
 	})
 }
 
-// BenchmarkA6Partitioned is experiment A6: distributed execution over
+// BenchmarkA6Partitioned is experiment A6: sharded execution over
 // BFS-grown partitions (the paper's future-work infrastructure).
 func BenchmarkA6Partitioned(b *testing.B) {
 	g := lona.CollaborationNetwork(benchScale(), 20100301)
@@ -181,14 +182,15 @@ func BenchmarkA6Partitioned(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		x, err := partition.NewExecutor(g, scores, 2, p)
+		local, err := bench.PartitionedLocal(g, scores, 2, p)
 		if err != nil {
 			b.Fatal(err)
 		}
+		coord := cluster.NewCoordinator(local, cluster.Options{})
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := x.Run(context.Background(), core.Query{K: 100, Aggregate: core.Sum}); err != nil {
+				if _, err := coord.Run(context.Background(), core.Query{Algorithm: core.AlgoBase, K: 100, Aggregate: core.Sum}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -278,29 +280,22 @@ func BenchmarkS3Mutation(b *testing.B) {
 
 // BenchmarkS4Stream measures the streaming sharded query path: one
 // coordinator fan-out per iteration with partial-result batches, mid-query
-// λ pushdown, and within-shard cuts, against the whole-shard-cut mode.
-// cmd/lonabench runs the full S4 comparison on the skewed scenario (with a
+// λ pushdown, and within-shard cuts. cmd/lonabench runs the full S4
+// comparison against standalone shards on the skewed scenario (with a
 // byte-identical gate against the single engine) and writes
 // BENCH_stream.json.
 func BenchmarkS4Stream(b *testing.B) {
 	g := lona.CollaborationNetwork(benchScale(), 20100301)
 	scores := lona.MixtureScores(g, 0.01, 20100302)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"streaming", false}, {"whole-shard", true}} {
-		coord, err := lona.NewLocalCoordinator(g, scores, 2, 4, lona.CoordinatorOptions{DisableStreaming: mode.disable})
-		if err != nil {
+	coord, err := lona.NewLocalCoordinator(g, scores, 2, 4, lona.CoordinatorOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := coord.Run(context.Background(), lona.Query{K: 100, Aggregate: lona.Sum, Algorithm: lona.AlgoForwardDist}); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := coord.Run(context.Background(), lona.Query{K: 100, Aggregate: lona.Sum, Algorithm: lona.AlgoForwardDist}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

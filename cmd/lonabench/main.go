@@ -4,7 +4,7 @@
 // S1 (lonad cold/cached/post-update latency → BENCH_serving.json),
 // S2 (sharded execution vs single engine → BENCH_cluster.json),
 // S3 (structural-mutation repair vs rebuild → BENCH_mutation.json),
-// S4 (streaming within-shard TA cuts vs whole-shard cuts →
+// S4 (streaming within-shard TA cuts vs standalone shards →
 // BENCH_stream.json), and S5 (the scale-2 snapshot tier: mmap cold
 // start vs build-from-generator, cold-serve topologies, steady-state
 // queries at GOMAXPROCS ∈ {1,4} → BENCH_snapshot.json; run with

@@ -55,10 +55,9 @@
 // listener, away from the query API.
 //
 // In -shard-worker mode the daemon instead serves the shard protocol
-// (/v1/shard/query, /v1/shard/query/stream, /v1/shard/bound,
-// /v1/shard/scores, /v1/shard/edits, /v1/shard/replay,
-// /v1/shard/health) for one partition
-// of the dataset; dataset flags must
+// (/v1/shard/query/stream, /v1/shard/bound, /v1/shard/scores,
+// /v1/shard/edits, /v1/shard/replay, /v1/shard/health) for one
+// partition of the dataset; dataset flags must
 // match the coordinator's so every process derives the same partitioning
 // — including across structural edit batches, which every process applies
 // identically.
@@ -107,8 +106,6 @@ func main() {
 		shardWorker = flag.Bool("shard-worker", false, "serve one shard of the -shards partitioning instead of the full query API")
 		shardIndex  = flag.Int("shard-index", 0, "which shard this worker owns (with -shard-worker)")
 		shardPeers  = flag.String("shard-peers", "", "comma-separated shard-worker base URLs, in shard-index order; queries fan out to them")
-		stream      = flag.Bool("stream", true, "stream partial top-k batches from shards so TA cuts land mid-query (sharded serving only)")
-		prime       = flag.Bool("prime", true, "seed each sharded query's launch lambda from per-shard score sketches so cold shards are cut with zero messages (sharded serving only)")
 
 		journalDir    = flag.String("journal", "", "commit-journal directory: durably append every applied /v1/scores and /v1/edges batch and replay the suffix at boot; with an anchor from POST /v1/snapshot, boot resumes from that snapshot plus replay")
 		journalRetain = flag.Int("journal-retain", 0, "generations kept resident for as_of and window time-travel queries (0 = default)")
@@ -128,7 +125,7 @@ func main() {
 		dataset: *dataset, scale: *scale, seed: *seed, relKind: *relKind, r: *r,
 		h: *h, cacheBytes: *cacheBytes, workers: *workers, drain: *drain,
 		shards: *shards, shardWorker: *shardWorker, shardIndex: *shardIndex,
-		shardPeers: *shardPeers, stream: *stream, prime: *prime,
+		shardPeers: *shardPeers,
 		journalDir: *journalDir, journalRetain: *journalRetain,
 		pprofAddr: *pprofAddr, slowQuery: time.Duration(*slowQueryMS) * time.Millisecond,
 		logFormat: *logFormat, otlpEndpoint: *otlpEndpoint, otlpSample: *otlpSample,
@@ -158,8 +155,6 @@ type config struct {
 	shardWorker           bool
 	shardIndex            int
 	shardPeers            string
-	stream                bool
-	prime                 bool
 	journalDir            string
 	journalRetain         int
 	pprofAddr             string
@@ -326,7 +321,6 @@ func run(cfg config) error {
 		}
 		opts := lona.ServerOptions{
 			CacheBytes: cacheBytes, Workers: cfg.workers,
-			DisableStreaming: !cfg.stream, DisablePriming: !cfg.prime,
 			SlowQuery:         cfg.slowQuery,
 			Logger:            logger,
 			SLO:               lona.ServerSLO{Latency: cfg.sloLatency, Target: cfg.sloTarget},

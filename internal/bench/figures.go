@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/relstore"
 )
@@ -285,8 +287,12 @@ func (w *Workspace) RunRelational() (*Result, error) {
 }
 
 // RunPartitioned is experiment A6: the future-work infrastructure. It
-// partitions the collaboration network into 1..8 parts and runs the
-// distributed Base executor, reporting wall clock, messages, and edge cut.
+// partitions the collaboration network into 1..8 parts, raw BFS-grown
+// and boundary-refined, and runs Base through the sharded coordinator
+// over each, reporting wall clock, messages, edge cut, ghost replication
+// (the boundary nodes every shard closure copies in — what partition
+// quality actually controls), and the largest per-shard evaluation
+// count.
 func (w *Workspace) RunPartitioned() (*Result, error) {
 	g, err := w.Graph(Collaboration)
 	if err != nil {
@@ -300,7 +306,7 @@ func (w *Workspace) RunPartitioned() (*Result, error) {
 		ID:    "A6",
 		Title: "Future work: partitioned execution (Collaboration, SUM, k=100)",
 		XName: "parts",
-		Notes: fmt.Sprintf("%d nodes, %d edges; BFS-grown partitions", g.NumNodes(), g.NumEdges()),
+		Notes: fmt.Sprintf("%d nodes, %d edges; BFS-grown partitions, serial fan-out", g.NumNodes(), g.NumEdges()),
 	}
 	for _, parts := range []int{1, 2, 4, 8} {
 		for _, refined := range []bool{false, true} {
@@ -313,31 +319,54 @@ func (w *Workspace) RunPartitioned() (*Result, error) {
 				partition.Refine(g, p, 1.3, 3)
 				label = "BFS-grow+refine"
 			}
-			x, err := partition.NewExecutor(g, scores, hops, p)
+			local, err := PartitionedLocal(g, scores, hops, p)
 			if err != nil {
 				return nil, err
 			}
-			var stats partition.Stats
+			// Serial fan-out with a pinned cadence: the work and message
+			// counters repeat exactly.
+			coord := cluster.NewCoordinator(local, cluster.Options{Parallel: 1, PartialEvery: streamBenchEvery})
+			var bd cluster.Breakdown
 			sec, err := w.timeQuery(func() error {
 				var err error
-				_, stats, err = x.Run(context.Background(), core.Query{K: 100, Aggregate: core.Sum})
+				_, bd, err = coord.RunDetailed(context.Background(), core.Query{Algorithm: core.AlgoBase, K: 100, Aggregate: core.Sum})
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
+			topo := local.Topology()
+			maxWork := 0
+			for _, r := range bd.PerShard {
+				maxWork = max(maxWork, r.Evaluated)
+			}
 			res.Rows = append(res.Rows, Row{
 				X: float64(parts), Label: label, Sec: sec,
 				Extra: map[string]float64{
-					"messages": float64(stats.Messages),
-					"edge_cut": float64(stats.EdgeCut),
-					"max_work": float64(stats.MaxPartWork),
+					"messages":       float64(bd.Messages),
+					"edge_cut":       float64(topo.EdgeCut),
+					"boundary_nodes": float64(topo.BoundaryNodes),
+					"max_work":       float64(maxWork),
 				},
 			})
-			w.logf("A6 parts=%d %-16s %.4fs (messages=%d cut=%d)", parts, label, sec, stats.Messages, stats.EdgeCut)
+			w.logf("A6 parts=%d %-16s %.4fs (messages=%d cut=%d boundary=%d)",
+				parts, label, sec, bd.Messages, topo.EdgeCut, topo.BoundaryNodes)
 		}
 	}
 	return res, nil
+}
+
+// PartitionedLocal builds one shard per part of p over (g, scores, h)
+// and returns the in-process transport over them.
+func PartitionedLocal(g *graph.Graph, scores []float64, h int, p *partition.Partitioning) (*cluster.Local, error) {
+	shards := make([]*cluster.Shard, p.P)
+	for i := range shards {
+		var err error
+		if shards[i], err = cluster.BuildShard(g, scores, h, p, i); err != nil {
+			return nil, err
+		}
+	}
+	return cluster.NewLocalFromShards(shards, g.NumNodes(), p.EdgeCut(g)), nil
 }
 
 // RunDistBound is ablation A7: the index-free distribution bound

@@ -8,12 +8,15 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/partition"
+	"repro/internal/topk"
 )
 
 // StreamSummary is the machine-readable result of the S4 streaming
 // benchmark — cmd/lonabench writes it as BENCH_stream.json so the
 // within-shard early-termination win (evaluated work and message volume,
-// streaming vs PR 3's whole-shard cuts) is tracked mechanically.
+// the coordinator's fan-out vs the shards run standalone) is tracked
+// mechanically.
 type StreamSummary struct {
 	Dataset string  `json:"dataset"`
 	Scale   float64 `json:"scale"`
@@ -42,9 +45,11 @@ type StreamSummary struct {
 // StreamGridCell is one (algorithm, mode) measurement.
 type StreamGridCell struct {
 	Algorithm string `json:"algorithm"`
-	// Mode is "whole-shard" (DisableStreaming: λ moves only on shard
-	// completion), "streaming" (partial batches, mid-query λ, priming
-	// off), or "streaming-primed" (streaming plus sketch-primed launch λ).
+	// Mode is "standalone" (every shard run to completion on its own,
+	// with no floor and no coordinator — the work a fan-out without any
+	// λ pushdown would do), "streaming" (the coordinator: partial
+	// batches, mid-query λ, priming off), or "streaming-primed"
+	// (streaming plus sketch-primed launch λ).
 	Mode      string  `json:"mode"`
 	Sec       float64 `json:"sec"`
 	Evaluated int     `json:"evaluated"`
@@ -107,10 +112,11 @@ func (w *Workspace) RunStream() (*Result, error) {
 	return res, err
 }
 
-// RunStreamDetailed benchmarks streaming within-shard TA cuts against
-// whole-shard cuts on the skewed scenario (Collaboration topology,
-// region-hot relevance, SUM): the bound-driven algorithms under both
-// merge modes, serial shard execution (Parallel=1) so the comparison is
+// RunStreamDetailed benchmarks the coordinator's streaming within-shard
+// TA cuts on the skewed scenario (Collaboration topology, region-hot
+// relevance, SUM) against the standalone baseline — the same shards each
+// run to completion with no floor — for the bound-driven algorithms,
+// with serial shard execution (Parallel=1) so the comparison is
 // deterministic and independent of host parallelism. Every answer is
 // verified byte-identical to the single-engine baseline before its
 // numbers are accepted.
@@ -129,10 +135,11 @@ func (w *Workspace) RunStreamDetailed() (*Result, *StreamSummary, error) {
 		k = max // tiny smoke scales still need a meaningful top-k
 	}
 
-	local, err := cluster.NewLocal(g, scores, hops, streamBenchParts)
+	shards, p, err := cluster.BuildShards(g, scores, hops, streamBenchParts)
 	if err != nil {
 		return nil, nil, err
 	}
+	local := cluster.NewLocalFromShards(shards, g.NumNodes(), p.EdgeCut(g))
 	local.PrepareIndexes(w.cfg.Workers)
 
 	sum := &StreamSummary{
@@ -143,7 +150,7 @@ func (w *Workspace) RunStreamDetailed() (*Result, *StreamSummary, error) {
 	}
 	res := &Result{
 		ID:    "S4",
-		Title: "Streaming within-shard TA cuts vs whole-shard cuts (Collaboration, region-hot, SUM)",
+		Title: "Streaming within-shard TA cuts vs standalone shards (Collaboration, region-hot, SUM)",
 		XName: "mode",
 		Notes: fmt.Sprintf("%d nodes, %d edges, h=%d, k=%d, %d shards, serial fan-out; answers verified byte-identical to the single engine",
 			g.NumNodes(), g.NumEdges(), hops, k, streamBenchParts),
@@ -155,20 +162,28 @@ func (w *Workspace) RunStreamDetailed() (*Result, *StreamSummary, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		for mi, mode := range []string{"whole-shard", "streaming", "streaming-primed"} {
-			coord := cluster.NewCoordinator(local, cluster.Options{
-				Parallel:         1,
-				DisableStreaming: mode == "whole-shard",
-				DisablePriming:   mode != "streaming-primed",
-				PartialEvery:     streamBenchEvery,
-			})
+		for mi, mode := range []string{"standalone", "streaming", "streaming-primed"} {
 			var ans core.Answer
 			var bd cluster.Breakdown
-			sec, err := w.timeQuery(func() error {
-				var err error
-				ans, bd, err = coord.RunDetailed(context.Background(), q)
-				return err
-			})
+			var sec float64
+			if mode == "standalone" {
+				sec, err = w.timeQuery(func() error {
+					var err error
+					ans, err = runStandalone(shards, q)
+					return err
+				})
+			} else {
+				coord := cluster.NewCoordinator(local, cluster.Options{
+					Parallel:       1,
+					DisablePriming: mode != "streaming-primed",
+					PartialEvery:   streamBenchEvery,
+				})
+				sec, err = w.timeQuery(func() error {
+					var err error
+					ans, bd, err = coord.RunDetailed(context.Background(), q)
+					return err
+				})
+			}
 			if err != nil {
 				return nil, nil, err
 			}
@@ -210,6 +225,30 @@ func (w *Workspace) RunStreamDetailed() (*Result, *StreamSummary, error) {
 	return res, sum, nil
 }
 
+// runStandalone runs q on every shard to completion with no floor, no
+// budget pool, and no coordinator, and merges the per-shard answers —
+// the baseline the coordinator's λ pushdown is measured against. Stats
+// sum the shards' work.
+func runStandalone(shards []*cluster.Shard, q core.Query) (core.Answer, error) {
+	list := topk.New(q.K)
+	var merged core.Answer
+	for _, s := range shards {
+		ans, err := s.RunStream(context.Background(), q, nil, nil, func(cluster.StreamBatch) {})
+		if err != nil {
+			return core.Answer{}, err
+		}
+		for _, it := range ans.Results {
+			list.Offer(it.Node, it.Value)
+		}
+		merged.Stats.Evaluated += ans.Stats.Evaluated
+		merged.Stats.Pruned += ans.Stats.Pruned
+		merged.Stats.Distributed += ans.Stats.Distributed
+		merged.Stats.Visited += ans.Stats.Visited
+	}
+	merged.Results = list.Items()
+	return merged, nil
+}
+
 // prelaunchCuts counts shards the coordinator cut before launching —
 // shards that cost zero stream traffic.
 func prelaunchCuts(bd cluster.Breakdown) int {
@@ -224,7 +263,8 @@ func prelaunchCuts(bd cluster.Breakdown) int {
 
 // runColdShards measures λ-priming on the topology it exists for:
 // disjoint communities (planted partition, pout=0) with every non-zero
-// score in community 0, shards launched at full parallelism. Without
+// score in community 0, one shard per community, shards launched at
+// full parallelism. Without
 // priming λ is 0 at launch time, so every shard launches and streams;
 // with priming the coordinator's sketch merge proves the cold shards'
 // bounds can never reach the top-k and cuts them with zero messages.
@@ -244,7 +284,15 @@ func (w *Workspace) runColdShards() (*ColdShardSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	local, err := cluster.NewLocal(g, scores, hops, streamBenchParts)
+	// Shard i owns community i exactly. BFS growth over communities this
+	// sparse strands a few community-0 nodes in other parts, which would
+	// give those shards mass and make whether they launch a race with
+	// the hot shard's first batch.
+	p := &partition.Partitioning{P: streamBenchParts, Assign: make([]int32, n)}
+	for v := range p.Assign {
+		p.Assign[v] = int32(v % streamBenchParts)
+	}
+	local, err := PartitionedLocal(g, scores, hops, p)
 	if err != nil {
 		return nil, err
 	}

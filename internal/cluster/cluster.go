@@ -16,7 +16,9 @@
 // [Fagin et al.], a shard whose bound falls strictly below λ is cut
 // short — skipped if it has not launched, cancelled via its context if it
 // is mid-query — because no node it owns can reach the final top-k.
-// Strict comparison keeps value ties resolving exactly as a single
+// Shards stream their results as they certify them (see stream.go), so λ
+// rises mid-query and running shards prune against it too. Strict
+// comparison keeps value ties resolving exactly as a single
 // engine would. Exactness of the surviving shard answers (see Shard) then
 // makes the merged list — values, ordering, and tie-breaks — identical to
 // Engine.Run.
@@ -24,9 +26,9 @@
 // # Transports
 //
 // Workers are reached through the Transport interface: Local runs every
-// shard in-process (one goroutine per shard, the simulated-machine model
-// internal/partition introduced), HTTP fans out to lonad worker processes
-// exposing /v1/shard/query. internal/server routes /v1/topk through a
+// shard in-process (one goroutine per shard, each a simulated machine),
+// HTTP fans out to lonad worker processes exposing
+// /v1/shard/query/stream. internal/server routes /v1/topk through a
 // Coordinator when serving sharded, and cmd/lonad wires up both modes.
 package cluster
 
@@ -41,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/topk"
 	"repro/internal/trace"
 )
@@ -57,15 +58,6 @@ type Options struct {
 	// DisableCut turns TA early termination off (benchmarks isolating
 	// the fan-out cost, and tests proving the cut changes nothing).
 	DisableCut bool
-	// DisableStreaming turns off partial-result streaming: shards answer
-	// with one whole response, λ tightens only on shard completion, and
-	// cuts land only between shards — kept for benchmarks pricing the
-	// streaming protocol and as an escape hatch. Note the budget
-	// redistribution bugfix (cut shards' slices flow to shards with work
-	// left) applies in BOTH modes: it is a coordinator repair, not part
-	// of the streaming protocol, so budgeted queries do more useful work
-	// than they did pre-streaming even with streaming off.
-	DisableStreaming bool
 	// DisablePriming turns off sketch-based λ-priming (see sketch.go):
 	// queries launch with λ = −∞ exactly as before PR 9 — kept for
 	// benchmarks pricing the priming win and tests proving it changes no
@@ -119,9 +111,9 @@ type ShardReport struct {
 	// Evaluated is the shard's exact-evaluation count — from its final
 	// answer, or from its last streamed batch when it was cut mid-query.
 	Evaluated int `json:"evaluated,omitempty"`
-	// Items counts the result items this shard shipped back (streamed
-	// batch items, or the whole answer's results when not streaming) —
-	// the per-shard message-size observation /metrics histograms.
+	// Items counts the result items this shard streamed back in its
+	// partial batches — the per-shard message-size observation /metrics
+	// histograms.
 	Items int `json:"items,omitempty"`
 	// Cadence is the PartialEvery this shard query emitted at — the
 	// adaptive controller's current setting (or the pinned override).
@@ -140,11 +132,12 @@ type Breakdown struct {
 	ShardsCut int `json:"shards_cut"`
 	// Messages counts simulated (Local) or real (HTTP) cross-shard
 	// exchanges: one bound probe per shard, a request and a response per
-	// launched shard query, one message per result item shipped back,
-	// and — when streaming — one per partial frame plus, on transports
-	// that push state over the wire, one per λ ack and two per budget
-	// grant request (the need frame and its granting ack). Shards cut
-	// pre-launch by a sketch-primed λ contribute only their bound probe.
+	// launched shard query, one per partial frame, one per result item
+	// shipped back (streamed, and again in the final summary frame) plus,
+	// on transports that push state over the wire, one per λ ack and two
+	// per budget grant request (the need frame and its granting ack).
+	// Shards cut pre-launch by a sketch-primed λ contribute only their
+	// bound probe.
 	Messages int64 `json:"messages"`
 	// PartialBatches counts the streamed partial frames folded into the
 	// merge across all shards.
@@ -152,9 +145,9 @@ type Breakdown struct {
 	// BudgetRedistributed counts traversals moved from cut shards'
 	// stranded budget slices to shards that could still use them.
 	BudgetRedistributed int `json:"budget_redistributed,omitempty"`
-	// LambdaRaises counts how many folded batches (or whole answers)
-	// actually tightened the merge threshold λ — the within-shard TA
-	// machinery visibly working, vs batches that changed nothing.
+	// LambdaRaises counts how many folded batches actually tightened the
+	// merge threshold λ — the within-shard TA machinery visibly working,
+	// vs batches that changed nothing.
 	LambdaRaises int `json:"lambda_raises,omitempty"`
 	// LambdaPrimed is the initial λ certified from the per-shard score
 	// sketches before any shard launched (0 when priming was off or
@@ -182,217 +175,181 @@ func (c *Coordinator) RunDetailed(ctx context.Context, q core.Query) (core.Answe
 	return c.RunOn(ctx, c.t.Snapshot(), q)
 }
 
-// RunOn executes the query against an explicit shard-set snapshot.
+// RunOn executes the query against an explicit shard-set snapshot, in
+// five stages: probe the shards' merge bounds, prime λ from their score
+// sketches, launch the shard queries in descending bound order while
+// folding their streamed batches and reaping the shards λ has cut, and
+// finish by assembling the merged answer and its breakdown.
 func (c *Coordinator) RunOn(ctx context.Context, view QueryView, q core.Query) (core.Answer, Breakdown, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	bd := Breakdown{Shards: c.t.Shards()}
+	f, err := c.newFanOut(ctx, view, q)
+	if err != nil {
+		return core.Answer{}, f.bd, err
+	}
+	f.probe()
+	f.prime()
+	f.launch()
+	return f.finish()
+}
+
+// fanOut is the state of one query's fan-out. The fields above mu are
+// set before any shard launches. mu guards the rest: the merged list, the
+// per-shard runs, and the cut, abort, and λ bookkeeping the shard
+// goroutines mutate. ctrl carries the lock-free state running shard
+// queries read themselves: the streamed threshold λ and the budget
+// redistribution pool.
+type fanOut struct {
+	c       *Coordinator
+	ctx     context.Context
+	view    QueryView
+	q       core.Query
+	rec     *trace.Recorder // nil when untraced; every recording site is nil-safe
+	bounds  []float64
+	budgets []int
+	ctrl    *StreamControl
+
+	mu      sync.Mutex
+	bd      Breakdown
+	list    *topk.List
+	runs    []shardRun
+	aborted bool // a shard failed; the rest of the fan-out is moot
+}
+
+// shardRun is one shard's progress through a fan-out.
+type shardRun struct {
+	cancel   context.CancelFunc // set once the shard is claimed for launch
+	ans      core.Answer
+	err      error
+	dur      time.Duration
+	launched bool // the shard query ran (possibly to a cancellation)
+	cut      bool
+	batches  int // partial frames folded
+	items    int // result items streamed back
+	cadence  int // PartialEvery this shard query emitted at
+	// stats is the shard's cumulative work: its final answer's, or — for
+	// a shard cut mid-query — its last streamed batch's, which the merged
+	// Stats must not lose.
+	stats core.QueryStats
+}
+
+// newFanOut validates the query and sets up its fan-out state.
+func (c *Coordinator) newFanOut(ctx context.Context, view QueryView, q core.Query) (*fanOut, error) {
+	parts := c.t.Shards()
+	f := &fanOut{c: c, ctx: ctx, view: view, q: q, rec: q.Tracer, bd: Breakdown{Shards: parts}}
 	if q.K <= 0 {
-		return core.Answer{}, bd, fmt.Errorf("cluster: k must be positive, got %d", q.K)
+		return f, fmt.Errorf("cluster: k must be positive, got %d", q.K)
 	}
 	if q.Budget < 0 {
-		return core.Answer{}, bd, fmt.Errorf("cluster: negative budget %d", q.Budget)
+		return f, fmt.Errorf("cluster: negative budget %d", q.Budget)
 	}
 	n := c.t.Nodes()
 	for _, v := range q.Candidates {
 		if v < 0 || v >= n {
-			return core.Answer{}, bd, fmt.Errorf("cluster: candidate node %d out of range [0,%d)", v, n)
+			return f, fmt.Errorf("cluster: candidate node %d out of range [0,%d)", v, n)
 		}
 	}
-	parts := bd.Shards
 	if parts <= 0 {
-		return core.Answer{}, bd, errors.New("cluster: transport has no shards")
+		return f, errors.New("cluster: transport has no shards")
 	}
+	// Budget slices: q.Budget splits evenly by shard index (not bound
+	// order), so the split is deterministic across runs.
+	f.budgets = SplitBudget(q.Budget, parts)
+	f.ctrl = &StreamControl{}
+	f.list = topk.New(q.K)
+	f.runs = make([]shardRun, parts)
+	return f, nil
+}
 
-	// rec scopes the query's trace (nil when untraced — every recording
-	// site below is nil-safe, so the plain path pays only dead branches).
-	rec := q.Tracer
-	var probeStart time.Time
-	if rec != nil {
-		probeStart = time.Now()
+// SplitBudget divides a query's traversal budget evenly across parts,
+// deterministically by part index: total/parts each, the remainder going
+// to the lowest indexes, and — when any budget is set — a floor of one
+// per part, because a literal zero means "unlimited" to core's meter.
+// Returns all zeros (unlimited everywhere) when total <= 0.
+func SplitBudget(total, parts int) []int {
+	budgets := make([]int, parts)
+	if total <= 0 {
+		return budgets
 	}
+	base, extra := total/parts, total%parts
+	for i := range budgets {
+		budgets[i] = base
+		if i < extra {
+			budgets[i]++
+		}
+		if budgets[i] == 0 {
+			budgets[i] = 1
+		}
+	}
+	return budgets
+}
 
-	// Phase 1 — merge bounds, fetched concurrently. A failed probe makes
-	// the shard uncuttable (+Inf) rather than failing the query: the
-	// shard query itself will surface any real transport fault.
-	bounds := make([]float64, parts)
-	var probeWG sync.WaitGroup
-	for i := 0; i < parts; i++ {
-		probeWG.Add(1)
+// probe fetches every shard's merge bound concurrently. A failed probe
+// makes the shard uncuttable (+Inf) rather than failing the query: the
+// shard query itself will surface any real transport fault.
+func (f *fanOut) probe() {
+	start := time.Now()
+	f.bounds = make([]float64, len(f.runs))
+	var wg sync.WaitGroup
+	for i := range f.bounds {
+		wg.Add(1)
 		go func(i int) {
-			defer probeWG.Done()
-			b, err := view.UpperBound(ctx, i, q.Aggregate)
+			defer wg.Done()
+			b, err := f.view.UpperBound(f.ctx, i, f.q.Aggregate)
 			if err != nil {
 				b = math.Inf(1)
 			}
-			bounds[i] = b
+			f.bounds[i] = b
 		}(i)
 	}
-	probeWG.Wait()
-	bd.Messages += int64(parts)
-	if rec != nil {
-		rec.Span(trace.KindProbe, probeStart, parts, 0, "bound probes")
-		for i, b := range bounds {
-			rec.ForShard(i).Emit(trace.KindProbe, 0, b, "")
-		}
+	wg.Wait()
+	f.bd.Messages += int64(len(f.bounds))
+	f.rec.Span(trace.KindProbe, start, len(f.bounds), 0, "bound probes")
+	for i, b := range f.bounds {
+		f.rec.ForShard(i).Emit(trace.KindProbe, 0, b, "")
 	}
+}
 
-	// Launch order: descending bound, ascending shard index among ties —
-	// the shards most able to raise λ go first.
-	order := make([]int, parts)
+// prime merges the per-shard score sketches into a certified lower bound
+// on the global k-th value and seeds the floor with it, so cold shards
+// are cut before they launch (zero stream messages) and every launched
+// shard prunes against a warm floor from its first traversal. Skipped
+// for aggregates where the raw-score bound is not admissible (Avg) and
+// for candidate-restricted queries, whose k-th value ranges over a
+// subset the sketches know nothing about.
+func (f *fanOut) prime() {
+	o := f.c.opts
+	if o.DisableCut || o.DisablePriming || len(f.q.Candidates) > 0 || !primableAggregate(f.q.Aggregate) {
+		return
+	}
+	sketches := make([]*Sketch, len(f.runs))
+	for i := range sketches {
+		sketches[i] = f.view.ScoreSketch(i)
+	}
+	if primed := PrimeFloor(sketches, f.q.K); primed > 0 {
+		f.ctrl.Raise(primed)
+		f.bd.LambdaPrimed = primed
+		f.rec.Emit(trace.KindPrime, f.q.K, primed, "λ primed from score sketches")
+	}
+}
+
+// launch runs the shard queries, at most Options.Parallel at a time, in
+// descending bound order (ascending shard index among ties) — the shards
+// most able to raise λ go first — and returns once every launched shard
+// has settled.
+func (f *fanOut) launch() {
+	order := make([]int, len(f.runs))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] > bounds[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return f.bounds[order[a]] > f.bounds[order[b]] })
 
-	// Budget slices: q.Budget splits evenly by shard index (not bound
-	// order), so the split is deterministic across runs.
-	budgets := partition.SplitBudget(q.Budget, parts)
-
-	parallel := c.opts.Parallel
+	parallel := f.c.opts.Parallel
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > parts {
-		parallel = parts
-	}
-
-	// Phase 2 — fan out with TA cuts. All shared state below is guarded
-	// by mu: the merged list, per-shard outcomes, and the cancel/cut
-	// bookkeeping the λ-watcher mutates. ctrl carries the lock-free state
-	// running shard queries read themselves: the streamed threshold λ and
-	// the budget redistribution pool.
-	streaming := !c.opts.DisableStreaming
-	liveBudget := streaming && view.LiveBudget()
-	ctrl := &StreamControl{}
-	// λ-priming: merge the per-shard score sketches into a certified
-	// lower bound on the global k-th value and seed the floor with it, so
-	// cold shards are cut before they launch (zero stream messages) and
-	// every launched shard prunes against a warm floor from its first
-	// traversal. Skipped for aggregates where the raw-score bound is not
-	// admissible (Avg) and for candidate-restricted queries, whose k-th
-	// value ranges over a subset the sketches know nothing about.
-	if !c.opts.DisableCut && !c.opts.DisablePriming &&
-		len(q.Candidates) == 0 && primableAggregate(q.Aggregate) {
-		sketches := make([]*Sketch, parts)
-		for i := range sketches {
-			sketches[i] = view.ScoreSketch(i)
-		}
-		if primed := PrimeFloor(sketches, q.K); primed > 0 {
-			ctrl.Raise(primed)
-			bd.LambdaPrimed = primed
-			rec.Emit(trace.KindPrime, q.K, primed, "λ primed from score sketches")
-		}
-	}
-	type outcome struct {
-		ans      core.Answer
-		err      error
-		dur      time.Duration
-		claimed  bool // a launch goroutine owns this shard's query
-		launched bool // the shard query ran (possibly to a cancellation)
-		finished bool // the shard query completed and ans is valid
-		allot    int  // budget handed to the shard at launch
-		cut      bool
-		done     bool
-		batches  int // partial frames folded
-		items    int // result items shipped back (streamed or whole)
-		cadence  int // PartialEvery this shard query emitted at
-		// partial is the cumulative work reported by the last streamed
-		// batch — all that remains of a shard cut mid-query, and exactly
-		// what the merged Stats must not lose.
-		partial    core.QueryStats
-		hasPartial bool
-	}
-	var (
-		mu       sync.Mutex
-		list     = topk.New(q.K)
-		outcomes = make([]outcome, parts)
-		cancels  = make([]context.CancelFunc, parts)
-		aborted  bool // a shard failed; the rest of the fan-out is moot
-	)
-	// cuttable reports whether shard i cannot affect the final top-k:
-	// strict (<) so a shard that could still tie λ — and win the
-	// smaller-id tie-break — always runs to completion. The threshold is
-	// the floor (which starts at the sketch-primed λ, so cold shards are
-	// cuttable before any result arrives), tightened by the merged
-	// list's bound once it fills.
-	cuttable := func(i int) bool {
-		if c.opts.DisableCut {
-			return false
-		}
-		th := ctrl.Floor()
-		if list.Full() && list.Bound() > th {
-			th = list.Bound()
-		}
-		return th > 0 && bounds[i] < th
-	}
-	// raise (mu held) tightens λ to the merged list's bound, counting and
-	// tracing the pushes that actually moved it.
-	raise := func() {
-		if list.Full() && ctrl.Raise(list.Bound()) {
-			bd.LambdaRaises++
-			rec.Emit(trace.KindLambda, 0, list.Bound(), "")
-		}
-	}
-	// cutShard (mu held) records one shard's TA cut; refunded > 0 means a
-	// never-launched shard's budget slice just went to the pool.
-	cutShard := func(sj int, note string, refunded int) {
-		if rec == nil {
-			return
-		}
-		srec := rec.ForShard(sj)
-		srec.Emit(trace.KindCut, 0, list.Bound(), note)
-		if refunded > 0 {
-			srec.Emit(trace.KindRefund, refunded, 0, "stranded slice to pool")
-		}
-	}
-	// reap (mu held) cuts every shard that can no longer affect the final
-	// top-k: running shards are cancelled mid-query, shards that never
-	// launched are finished before they start — and their untouched
-	// budget slices go to the redistribution pool instead of being
-	// stranded (pre-streaming, a cut shard's slice was simply lost and a
-	// budgeted query did less work than asked).
-	reap := func() {
-		for sj := 0; sj < parts; sj++ {
-			oj := &outcomes[sj]
-			if oj.done || oj.cut || !cuttable(sj) {
-				continue
-			}
-			oj.cut = true
-			if oj.claimed {
-				cancels[sj]()
-				cutShard(sj, "mid-query", 0)
-			} else {
-				oj.done = true
-				ctrl.AddBudget(budgets[sj])
-				cutShard(sj, "pre-launch", budgets[sj])
-			}
-		}
-	}
-	// fold (locks mu) merges one streamed batch: offer the newly
-	// certified items, remember the shard's cumulative stats, tighten λ,
-	// and re-evaluate every cut — within-shard early termination instead
-	// of waiting for whole shards to finish.
-	fold := func(si int, b StreamBatch) {
-		mu.Lock()
-		defer mu.Unlock()
-		o := &outcomes[si]
-		o.batches++
-		o.items += len(b.Items)
-		o.partial, o.hasPartial = b.Stats, true
-		if aborted || ctx.Err() != nil {
-			return
-		}
-		for _, it := range b.Items {
-			list.Offer(it.Node, it.Value)
-		}
-		raise()
-		rec.ForShard(si).Emit(trace.KindBatch, len(b.Items), ctrl.Floor(), "")
-		reap()
-	}
-
-	sem := make(chan struct{}, parallel)
+	sem := make(chan struct{}, min(parallel, len(order)))
 	var wg sync.WaitGroup
 	for _, si := range order {
 		// The slot is acquired here, not inside the goroutine: goroutines
@@ -402,211 +359,252 @@ func (c *Coordinator) RunOn(ctx context.Context, view QueryView, q core.Query) (
 		// before they start) would hold only by luck.
 		select {
 		case sem <- struct{}{}:
-		case <-ctx.Done():
+		case <-f.ctx.Done():
 		}
-		if ctx.Err() != nil {
+		if f.ctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-
-			mu.Lock()
-			o := &outcomes[si]
-			if ctx.Err() != nil || aborted || o.done {
-				mu.Unlock()
-				return
-			}
-			if cuttable(si) {
-				o.cut, o.done = true, true
-				ctrl.AddBudget(budgets[si])
-				cutShard(si, "pre-launch", budgets[si])
-				mu.Unlock()
-				return
-			}
-			// Count the shards that could still launch (self included)
-			// before claiming, for the up-front pool share below.
-			pending := 0
-			for sj := range outcomes {
-				oj := &outcomes[sj]
-				if !oj.claimed && !oj.done {
-					pending++
-				}
-			}
-			o.claimed = true
-			sctx, cancel := context.WithCancel(ctx)
-			cancels[si] = cancel
-			sq := q
-			// Retag the trace scope: the shard engine's events (floor
-			// observations, emissions, cuts) land under this shard's index.
-			// Local shares the recorder; HTTP ships only its id.
-			sq.Tracer = rec.ForShard(si)
-			sq.Budget = budgets[si]
-			if sq.Budget > 0 && !liveBudget {
-				// This transport cannot draw from the pool mid-run, so a
-				// launching shard takes its share of the slices stranded
-				// so far up front. Live-budget transports skip this: the
-				// running query draws on demand, spending the pool only
-				// where work actually remains.
-				if extra := ctrl.TakeShare(pending); extra > 0 {
-					sq.Budget += extra
-					sq.Tracer.Emit(trace.KindGrant, extra, 0, "pool share at launch")
-				}
-			}
-			o.allot = sq.Budget
-			if streaming && sq.PartialEvery == 0 {
-				// Emission cadence: the caller's own setting wins, then the
-				// pinned option, then the per-shard adaptive controller.
-				if c.opts.PartialEvery > 0 {
-					sq.PartialEvery = c.opts.PartialEvery
-				} else {
-					sq.PartialEvery = c.cad.forShard(si, q.K)
-				}
-			}
-			o.cadence = sq.PartialEvery
-			mu.Unlock()
-			defer cancel()
-
-			start := time.Now()
-			var ans core.Answer
-			var err error
-			if streaming {
-				ans, err = view.QueryStream(sctx, si, sq, ctrl, func(b StreamBatch) { fold(si, b) })
-			} else {
-				ans, err = view.Query(sctx, si, sq)
-			}
-			dur := time.Since(start)
-			if rec != nil {
-				mode := "whole"
-				if streaming {
-					mode = "streaming"
-				}
-				rec.ForShard(si).Span(trace.KindLaunch, start, sq.Budget, bounds[si], mode)
-			}
-
-			mu.Lock()
-			defer mu.Unlock()
-			o.launched, o.dur, o.done = true, dur, true
-			if err != nil {
-				// A cancellation we caused — a TA cut, or collateral of
-				// another shard's fatal error — is not this shard's
-				// fault; a cancellation the caller caused is reported as
-				// the caller's context error below.
-				if (o.cut || aborted) && isContextErr(err) && ctx.Err() == nil {
-					return
-				}
-				o.err = err
-				// The merged answer can no longer be produced: stop the
-				// shards still running instead of letting them finish
-				// work nobody will read.
-				aborted = true
-				for sj := range cancels {
-					oj := &outcomes[sj]
-					if sj != si && !oj.done && cancels[sj] != nil {
-						cancels[sj]()
-					}
-				}
-				return
-			}
-			o.finished = true
-			o.ans = ans
-			// Budget drawn mid-run through the grant protocol joins the
-			// shard's allotment before the refund below, so over-granted
-			// chunks (a worker asks in fixed chunks, not exact amounts)
-			// flow back to the pool instead of stranding.
-			o.allot += int(ctrl.GrantedTo(si))
-			// A shard that finished under its allotment (it ran out of
-			// owned work) returns the leftover to the pool for shards
-			// still running. Budget spend is exactly the evaluation +
-			// distribution count, core's one-spend-per-traversal contract.
-			if spent := ans.Stats.Evaluated + ans.Stats.Distributed; o.allot > spent {
-				ctrl.AddBudget(o.allot - spent)
-				rec.ForShard(si).Emit(trace.KindRefund, o.allot-spent, 0, "unused allotment to pool")
-			}
-			if streaming {
-				// Every final result already arrived through a batch
-				// (core's streaming contract); offering them again would
-				// duplicate nodes in the merged heap.
-			} else {
-				o.items = len(ans.Results)
-				for _, it := range ans.Results {
-					list.Offer(it.Node, it.Value)
-				}
-			}
-			// λ may have risen: cut every shard that can no longer
-			// contribute, running or not yet launched.
-			raise()
-			reap()
+			f.run(si)
 		}(si)
 	}
 	wg.Wait()
+}
 
-	if err := ctx.Err(); err != nil {
-		return core.Answer{}, bd, err
+// run executes one shard's query, unless λ cut the shard (or a failure
+// aborted the fan-out) before its slot came up.
+func (f *fanOut) run(si int) {
+	sctx, sq, ok := f.claim(si)
+	if !ok {
+		return
 	}
-	merged := core.Answer{Results: list.Items()}
-	bd.BudgetRedistributed = ctrl.Redistributed()
-	bd.GrantRequests = ctrl.GrantRequests()
-	for si := range outcomes {
-		o := &outcomes[si]
-		if o.err != nil {
-			return core.Answer{}, bd, fmt.Errorf("cluster: shard %d: %w", si, o.err)
+	defer f.runs[si].cancel()
+	start := time.Now()
+	ans, err := f.view.QueryStream(sctx, si, sq, f.ctrl, func(b StreamBatch) { f.fold(si, b) })
+	dur := time.Since(start)
+	f.rec.ForShard(si).Span(trace.KindLaunch, start, sq.Budget, f.bounds[si], "")
+	f.settle(si, ans, err, dur)
+}
+
+// claim (locks mu) decides whether shard si still launches and, if so,
+// builds its sub-query: the shard's budget slice, its trace scope, and
+// its emission cadence — the caller's own setting wins, then the pinned
+// option, then the per-shard adaptive controller.
+func (f *fanOut) claim(si int) (sctx context.Context, sq core.Query, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r := &f.runs[si]
+	if f.ctx.Err() != nil || f.aborted || r.cut {
+		return nil, sq, false
+	}
+	if f.cuttable(si) {
+		f.cutPrelaunch(si)
+		return nil, sq, false
+	}
+	sctx, r.cancel = context.WithCancel(f.ctx)
+	sq = f.q
+	// Retag the trace scope: the shard engine's events (floor
+	// observations, emissions, cuts) land under this shard's index.
+	// Local shares the recorder; HTTP ships only its id.
+	sq.Tracer = f.rec.ForShard(si)
+	sq.Budget = f.budgets[si]
+	if sq.PartialEvery == 0 {
+		if f.c.opts.PartialEvery > 0 {
+			sq.PartialEvery = f.c.opts.PartialEvery
+		} else {
+			sq.PartialEvery = f.c.cad.forShard(si, f.q.K)
 		}
-		// A shard cut mid-query returned no final answer; its last
-		// streamed batch carries the work it did do, which the merged
-		// stats (and /v1/stats upstream) must account rather than drop.
-		s := o.ans.Stats
-		if !o.finished && o.hasPartial {
-			s = o.partial
+	}
+	r.cadence = sq.PartialEvery
+	return sctx, sq, true
+}
+
+// fold (locks mu) merges one streamed batch: offer the newly certified
+// items, remember the shard's cumulative stats, tighten λ, and
+// re-evaluate every cut — within-shard early termination instead of
+// waiting for whole shards to finish.
+func (f *fanOut) fold(si int, b StreamBatch) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r := &f.runs[si]
+	r.batches++
+	r.items += len(b.Items)
+	r.stats = b.Stats
+	if f.aborted || f.ctx.Err() != nil {
+		return
+	}
+	for _, it := range b.Items {
+		f.list.Offer(it.Node, it.Value)
+	}
+	f.raise()
+	f.rec.ForShard(si).Emit(trace.KindBatch, len(b.Items), f.ctrl.Floor(), "")
+	f.reap()
+}
+
+// settle (locks mu) records a shard query's outcome. Every final result
+// already arrived through a batch (core's streaming contract), and the
+// fold of that batch already raised λ and reaped what it cuts, so only
+// the bookkeeping is left: errors abort the fan-out, and an unspent
+// allotment returns to the pool.
+func (f *fanOut) settle(si int, ans core.Answer, err error, dur time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r := &f.runs[si]
+	r.launched, r.dur = true, dur
+	if err != nil {
+		// A cancellation we caused — a TA cut, or collateral of another
+		// shard's fatal error — is not this shard's fault; a
+		// cancellation the caller caused is reported as the caller's
+		// context error by finish.
+		if (r.cut || f.aborted) && isContextErr(err) && f.ctx.Err() == nil {
+			return
 		}
-		report := ShardReport{Shard: si, ElapsedUS: o.dur.Microseconds(),
-			Results: len(o.ans.Results), Cut: o.cut, Launched: o.launched,
-			Batches: o.batches, Evaluated: s.Evaluated, Items: o.items,
-			Cadence: o.cadence, Granted: int(ctrl.GrantedTo(si))}
-		bd.PerShard = append(bd.PerShard, report)
-		if o.launched && c.opts.PartialEvery == 0 {
+		r.err = err
+		// The merged answer can no longer be produced: stop the shards
+		// still running instead of letting them finish work nobody will
+		// read.
+		f.aborted = true
+		for sj := range f.runs {
+			if rj := &f.runs[sj]; !rj.launched && rj.cancel != nil {
+				rj.cancel()
+			}
+		}
+		return
+	}
+	r.ans, r.stats = ans, ans.Stats
+	// The allotment is the launch slice plus any budget drawn mid-run
+	// through the grant protocol, so over-granted chunks (a worker asks
+	// in fixed chunks, not exact amounts) flow back to the pool instead
+	// of stranding. A shard that finished under its allotment (it ran out
+	// of owned work) returns the leftover to the pool for shards still
+	// running. Budget spend is exactly the evaluation + distribution
+	// count, core's one-spend-per-traversal contract.
+	allot := f.budgets[si] + int(f.ctrl.GrantedTo(si))
+	if spent := ans.Stats.Evaluated + ans.Stats.Distributed; allot > spent {
+		f.ctrl.AddBudget(allot - spent)
+		f.rec.ForShard(si).Emit(trace.KindRefund, allot-spent, 0, "unused allotment to pool")
+	}
+}
+
+// cuttable (mu held) reports whether shard i cannot affect the final
+// top-k: strict (<) so a shard that could still tie λ — and win the
+// smaller-id tie-break — always runs to completion. The threshold is the
+// floor (which starts at the sketch-primed λ, so cold shards are
+// cuttable before any result arrives), tightened by the merged list's
+// bound once it fills.
+func (f *fanOut) cuttable(i int) bool {
+	if f.c.opts.DisableCut {
+		return false
+	}
+	th := f.ctrl.Floor()
+	if f.list.Full() && f.list.Bound() > th {
+		th = f.list.Bound()
+	}
+	return th > 0 && f.bounds[i] < th
+}
+
+// raise (mu held) tightens λ to the merged list's bound, counting and
+// tracing the pushes that actually moved it.
+func (f *fanOut) raise() {
+	if f.list.Full() && f.ctrl.Raise(f.list.Bound()) {
+		f.bd.LambdaRaises++
+		f.rec.Emit(trace.KindLambda, 0, f.list.Bound(), "")
+	}
+}
+
+// reap (mu held) cuts every shard that can no longer affect the final
+// top-k: running shards are cancelled mid-query, shards that never
+// launched are finished before they start.
+func (f *fanOut) reap() {
+	for sj := range f.runs {
+		r := &f.runs[sj]
+		if r.launched || r.cut || !f.cuttable(sj) {
+			continue
+		}
+		if r.cancel == nil {
+			f.cutPrelaunch(sj)
+			continue
+		}
+		r.cut = true
+		r.cancel()
+		f.rec.ForShard(sj).Emit(trace.KindCut, 0, f.list.Bound(), "mid-query")
+	}
+}
+
+// cutPrelaunch (mu held) cuts a shard that never launched; its untouched
+// budget slice goes to the redistribution pool instead of stranding.
+func (f *fanOut) cutPrelaunch(sj int) {
+	f.runs[sj].cut = true
+	f.ctrl.AddBudget(f.budgets[sj])
+	srec := f.rec.ForShard(sj)
+	srec.Emit(trace.KindCut, 0, f.list.Bound(), "pre-launch")
+	if f.budgets[sj] > 0 {
+		srec.Emit(trace.KindRefund, f.budgets[sj], 0, "stranded slice to pool")
+	}
+}
+
+// finish assembles the merged answer and the breakdown once every shard
+// has settled: per-shard reports, summed work (a shard cut mid-query
+// counts the work its last batch reported), message accounting, and the
+// folded plan.
+func (f *fanOut) finish() (core.Answer, Breakdown, error) {
+	bd := &f.bd
+	if err := f.ctx.Err(); err != nil {
+		return core.Answer{}, *bd, err
+	}
+	merged := core.Answer{Results: f.list.Items()}
+	bd.BudgetRedistributed = f.ctrl.Redistributed()
+	bd.GrantRequests = f.ctrl.GrantRequests()
+	wireAcks := f.view.WireAcks()
+	for si := range f.runs {
+		r := &f.runs[si]
+		if r.err != nil {
+			return core.Answer{}, *bd, fmt.Errorf("cluster: shard %d: %w", si, r.err)
+		}
+		s := r.stats
+		bd.PerShard = append(bd.PerShard, ShardReport{Shard: si, ElapsedUS: r.dur.Microseconds(),
+			Results: len(r.ans.Results), Cut: r.cut, Launched: r.launched,
+			Batches: r.batches, Evaluated: s.Evaluated, Items: r.items,
+			Cadence: r.cadence, Granted: int(f.ctrl.GrantedTo(si))})
+		if r.launched && f.c.opts.PartialEvery == 0 {
 			// Feed the adaptive cadence controller: how fast did this
 			// shard's frames actually arrive at the cadence it used.
-			c.cad.observe(si, o.batches, o.dur, o.cadence)
+			f.c.cad.observe(si, r.batches, r.dur, r.cadence)
 		}
-		if rec != nil {
-			note := ""
-			switch {
-			case o.cut && o.launched:
-				note = "cut mid-query"
-			case o.cut:
-				note = "cut pre-launch"
-			}
-			rec.ForShard(si).Emit(trace.KindShardStats, s.Evaluated, 0, note)
+		note := ""
+		switch {
+		case r.cut && r.launched:
+			note = "cut mid-query"
+		case r.cut:
+			note = "cut pre-launch"
 		}
-		if o.cut {
+		f.rec.ForShard(si).Emit(trace.KindShardStats, s.Evaluated, 0, note)
+		if r.cut {
 			bd.ShardsCut++
 		}
-		bd.PartialBatches += int64(o.batches)
-		if o.launched {
-			bd.Messages += 2 + int64(o.items) + int64(o.batches)
-			if streaming {
-				// The final summary frame re-ships the shard's result
-				// list (so the wire answer is self-contained); count it,
-				// or the streaming-vs-whole-shard message comparison
-				// would flatter streaming by up to k items per shard.
-				bd.Messages += int64(len(o.ans.Results))
-				if view.WireAcks() {
-					// λ acks ride the request stream back to remote
-					// workers, at most one per folded frame (the writer
-					// coalesces to latest, so this is an upper estimate).
-					bd.Messages += int64(o.batches)
-				}
+		bd.PartialBatches += int64(r.batches)
+		if r.launched {
+			// A request and a response, every streamed item and frame,
+			// and the final summary frame's re-shipped result list (the
+			// wire answer is self-contained).
+			bd.Messages += 2 + int64(r.items) + int64(r.batches) + int64(len(r.ans.Results))
+			if wireAcks {
+				// λ acks ride the request stream back to remote workers,
+				// at most one per folded frame (the writer coalesces to
+				// latest, so this is an upper estimate).
+				bd.Messages += int64(r.batches)
 			}
 		}
 		merged.Stats.Evaluated += s.Evaluated
 		merged.Stats.Pruned += s.Pruned
 		merged.Stats.Distributed += s.Distributed
 		merged.Stats.Visited += s.Visited
-		merged.Truncated = merged.Truncated || o.ans.Truncated
+		merged.Truncated = merged.Truncated || r.ans.Truncated
 	}
-	if view.WireAcks() && bd.GrantRequests > 0 {
+	if wireAcks && bd.GrantRequests > 0 {
 		// Each answered grant request cost a need frame upstream and a
 		// granting ack downstream.
 		bd.Messages += 2 * bd.GrantRequests
@@ -615,17 +613,17 @@ func (c *Coordinator) RunOn(ctx context.Context, view QueryView, q core.Query) (
 	// Answer: the lowest-index executed shard's choice, annotated with
 	// the shard count (shards plan independently — their score
 	// distributions differ — so the note keeps the reported plan honest).
-	if q.Algorithm == core.AlgoAuto {
-		for si := range outcomes {
-			if p := outcomes[si].ans.Plan; p != nil {
+	if f.q.Algorithm == core.AlgoAuto {
+		for si := range f.runs {
+			if p := f.runs[si].ans.Plan; p != nil {
 				plan := *p
-				plan.Reason = fmt.Sprintf("sharded ×%d (shard %d): %s", parts, si, plan.Reason)
+				plan.Reason = fmt.Sprintf("sharded ×%d (shard %d): %s", len(f.runs), si, plan.Reason)
 				merged.Plan = &plan
 				break
 			}
 		}
 	}
-	return merged, bd, nil
+	return merged, *bd, nil
 }
 
 // isContextErr reports whether err is (or wraps) a context cancellation

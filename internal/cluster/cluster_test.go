@@ -360,18 +360,10 @@ func ownedOf(s *Shard) []int {
 	return out
 }
 
-// faultyView wraps a QueryView, failing one shard's query on both the
-// whole-answer and the streaming path.
+// faultyView wraps a QueryView, failing one shard's query.
 type faultyView struct {
 	QueryView
 	fail int
-}
-
-func (f faultyView) Query(ctx context.Context, shard int, q core.Query) (core.Answer, error) {
-	if shard == f.fail {
-		return core.Answer{}, errFault
-	}
-	return f.QueryView.Query(ctx, shard, q)
 }
 
 func (f faultyView) QueryStream(ctx context.Context, shard int, q core.Query,

@@ -131,9 +131,6 @@ func TestHTTPBudgetedAtLeastSingleEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer transport.Close()
-	if !transport.LiveBudget() {
-		t.Fatal("HTTP transport does not report live budget — grants are wired in")
-	}
 
 	const budget = 300
 	q := core.Query{K: 10, Aggregate: core.Sum, Algorithm: core.AlgoBase, Budget: budget}

@@ -116,7 +116,7 @@ func TestTraceparentHeaders(t *testing.T) {
 			h.Get(traceparentHeader), h.Get(traceHeader))
 	}
 
-	r := httptest.NewRequest(http.MethodPost, "/v1/shard/query", nil)
+	r := httptest.NewRequest(http.MethodPost, "/v1/shard/query/stream", nil)
 	r.Header.Set(traceparentHeader, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	if got := requestTraceID(r); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("traceparent fallback returned %q", got)
@@ -125,7 +125,7 @@ func TestTraceparentHeaders(t *testing.T) {
 	if got := requestTraceID(r); got != "native-id" {
 		t.Fatalf("native header not preferred: %q", got)
 	}
-	r2 := httptest.NewRequest(http.MethodPost, "/v1/shard/query", nil)
+	r2 := httptest.NewRequest(http.MethodPost, "/v1/shard/query/stream", nil)
 	r2.Header.Set(traceparentHeader, "garbage")
 	if got := requestTraceID(r2); got != "" {
 		t.Fatalf("garbage traceparent yielded id %q", got)

@@ -24,12 +24,12 @@ import (
 // The HTTP transport speaks a small JSON protocol to lonad worker
 // processes (cmd/lonad -shard-worker), one shard per worker:
 //
-//	POST /v1/shard/query  — execute a shard-local query (global node ids)
 //	POST /v1/shard/query/stream
-//	                      — execute a shard-local query, streaming partial
-//	                        top-k batches back as NDJSON frames; the
-//	                        request body stays open and carries λ acks
-//	                        downstream (see the protocol notes below)
+//	                      — execute a shard-local query (global node ids),
+//	                        streaming partial top-k batches back as
+//	                        NDJSON frames; the request body stays open
+//	                        and carries λ acks downstream (see the
+//	                        protocol notes below)
 //	GET  /v1/shard/bound  — the shard's merge bound for ?aggregate=
 //	POST /v1/shard/scores — apply a relevance update batch to the shard
 //	POST /v1/shard/edits  — apply a structural edit batch; the worker
@@ -95,9 +95,10 @@ import (
 // already folded never corrupt it, because every streamed item is an
 // exact (or lower-bound, under budget truncation) value.
 
-// wireQuery is the /v1/shard/query body — core.Query flattened into the
-// same names /v1/topk uses, with candidates in global ids and the budget
-// already split by the coordinator.
+// wireQuery is the query document opening a /v1/shard/query/stream
+// request — core.Query flattened into the same names /v1/topk uses, with
+// candidates in global ids and the budget already split by the
+// coordinator.
 type wireQuery struct {
 	Algorithm  string  `json:"algorithm,omitempty"` // "" or "auto" = planner
 	K          int     `json:"k"`
@@ -108,9 +109,8 @@ type wireQuery struct {
 	Candidates []int   `json:"candidates,omitempty"`
 	Budget     int     `json:"budget,omitempty"`
 	// Trace asks the worker to record its side of the query's trace and
-	// ship the events back (in the response for /v1/shard/query, on the
-	// final summary frame for the stream). The trace id itself travels in
-	// the X-Lona-Trace request header.
+	// ship the events back on the final summary frame. The trace id
+	// itself travels in the X-Lona-Trace request header.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -174,19 +174,6 @@ func isLowerHex(s string) bool {
 		}
 	}
 	return len(s) > 0
-}
-
-// wireAnswer is the /v1/shard/query response.
-type wireAnswer struct {
-	Results   []core.Result   `json:"results"`
-	Stats     core.QueryStats `json:"stats"`
-	Truncated bool            `json:"truncated,omitempty"`
-	// Plan round-trips the shard planner's decision for AlgoAuto queries.
-	PlanAlgorithm string `json:"plan_algorithm,omitempty"`
-	PlanReason    string `json:"plan_reason,omitempty"`
-	// Trace is the worker-side event list of a traced query; offsets are
-	// microseconds since the worker began, rebased by the coordinator.
-	Trace []trace.Event `json:"trace,omitempty"`
 }
 
 // wireStreamFrame is one NDJSON frame of a /v1/shard/query/stream
@@ -567,7 +554,6 @@ func (w *Worker) Shard() *Shard {
 // Handler returns the worker's HTTP API.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/shard/query", w.handleQuery)
 	mux.HandleFunc("/v1/shard/query/stream", w.handleQueryStream)
 	mux.HandleFunc("/v1/shard/bound", w.handleBound)
 	mux.HandleFunc("/v1/shard/scores", w.handleScores)
@@ -589,62 +575,10 @@ func writeWireError(rw http.ResponseWriter, status int, err error) {
 	writeJSON(rw, status, wireError{Error: err.Error()})
 }
 
-func (w *Worker) handleQuery(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rw.Header().Set("Allow", http.MethodPost)
-		writeWireError(rw, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	var wq wireQuery
-	if err := dec.Decode(&wq); err != nil {
-		writeWireError(rw, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	q, err := decodeQuery(wq)
-	if err != nil {
-		writeWireError(rw, http.StatusBadRequest, err)
-		return
-	}
-	// A traced query gets a worker-local recorder under the coordinator's
-	// id; its events ship back in the response for the coordinator to
-	// stitch onto its own timeline.
-	var rec *trace.Recorder
-	if wq.Trace {
-		rec = trace.NewWithID(requestTraceID(r))
-		q.Tracer = rec.ForShard(w.Shard().Index())
-	}
-	ans, err := w.Shard().Run(r.Context(), q)
-	switch {
-	case err == nil:
-	case isContextErr(err):
-		// 499 in nginx tradition: the coordinator went away (a TA cut or
-		// its caller's cancellation); nothing useful can be answered.
-		writeWireError(rw, 499, err)
-		return
-	default:
-		writeWireError(rw, http.StatusBadRequest, err)
-		return
-	}
-	wa := wireAnswer{Results: ans.Results, Stats: ans.Stats, Truncated: ans.Truncated}
-	if wa.Results == nil {
-		wa.Results = []core.Result{}
-	}
-	if ans.Plan != nil {
-		wa.PlanAlgorithm = ans.Plan.Algorithm.WireName()
-		wa.PlanReason = ans.Plan.Reason
-	}
-	if rec != nil {
-		wa.Trace = rec.Snapshot().Events
-	}
-	writeJSON(rw, http.StatusOK, wa)
-}
-
-// handleQueryStream serves the streaming half of the protocol: it runs
-// the shard query with a partial-result sink writing NDJSON frames, while
-// a reader goroutine consumes λ acks from the still-open request body and
-// raises the engine-visible floor. Pre-query validation failures are
+// handleQueryStream serves shard queries: it runs the shard query with a
+// partial-result sink writing NDJSON frames, while a reader goroutine
+// consumes λ acks from the still-open request body and raises the
+// engine-visible floor. Pre-query validation failures are
 // ordinary HTTP errors; once streaming starts, failures travel in the
 // final frame.
 func (w *Worker) handleQueryStream(rw http.ResponseWriter, r *http.Request) {
@@ -655,9 +589,9 @@ func (w *Worker) handleQueryStream(rw http.ResponseWriter, r *http.Request) {
 	}
 	// No MaxBytesReader on the whole body — it is an open ack stream, not
 	// a bounded document — but the query itself is the first NDJSON line
-	// and gets the same 16 MiB cap and strict field checking as the
-	// non-streaming endpoint. The buffered reader carries over to the ack
-	// goroutine so no stream bytes are lost between the two decoders.
+	// and gets a 16 MiB cap and strict field checking. The buffered
+	// reader carries over to the ack goroutine so no stream bytes are
+	// lost between the two decoders.
 	br := bufio.NewReader(r.Body)
 	queryLine, err := readQueryLine(br)
 	if err != nil {
@@ -975,8 +909,7 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 }
 
 // readQueryLine reads the newline-terminated query document that opens a
-// stream request, rejecting documents past the same 16 MiB bound the
-// non-streaming endpoint enforces.
+// stream request, rejecting documents past 16 MiB.
 func readQueryLine(br *bufio.Reader) ([]byte, error) {
 	var line []byte
 	for {
@@ -1095,41 +1028,6 @@ func (t *HTTP) H() int { return t.h }
 // sharding gets the strict guarantee; see Local.)
 func (t *HTTP) Snapshot() QueryView { return t }
 
-// Query executes q on worker shard via POST /v1/shard/query. A traced
-// query ships only its trace id (header) out and imports the worker's
-// event list from the response, rebased onto the local timeline at the
-// moment the request started.
-func (t *HTTP) Query(ctx context.Context, shard int, q core.Query) (core.Answer, error) {
-	blob, err := json.Marshal(encodeQuery(q))
-	if err != nil {
-		return core.Answer{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.workers[shard]+"/v1/shard/query", bytes.NewReader(blob))
-	if err != nil {
-		return core.Answer{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	var baseUS int64
-	if q.Tracer != nil {
-		setTraceHeaders(req.Header, q.Tracer.ID())
-		baseUS = q.Tracer.SinceUS()
-	}
-	var wa wireAnswer
-	if err := t.do(req, &wa); err != nil {
-		return core.Answer{}, err
-	}
-	q.Tracer.Import(wa.Trace, baseUS)
-	ans := core.Answer{Results: wa.Results, Stats: wa.Stats, Truncated: wa.Truncated}
-	if wa.PlanAlgorithm != "" {
-		algo, err := core.ParseAlgorithm(wa.PlanAlgorithm)
-		if err != nil {
-			return core.Answer{}, fmt.Errorf("cluster: worker %d returned unknown plan algorithm %q", shard, wa.PlanAlgorithm)
-		}
-		ans.Plan = &core.Plan{Algorithm: algo, Reason: wa.PlanReason}
-	}
-	return ans, nil
-}
-
 // QueryStream executes q on worker shard via POST /v1/shard/query/stream:
 // partial batches flow to emit as the worker certifies results, and the
 // coordinator's λ (read from ctrl at each frame) flows back on the open
@@ -1138,7 +1036,10 @@ func (t *HTTP) Query(ctx context.Context, shard int, q core.Query) (core.Answer,
 // dropped, which the grant protocol requires: a dropped ack carrying a
 // grant would leave the worker blocked until the next frame by luck.
 // ctrl is also the grant ledger: need frames draw from its shared pool
-// via Grant, closing the budget-stranding gap LiveBudget documents.
+// via Grant, so budget refunded by cut shards reaches still-running
+// workers instead of stranding. A traced query ships only its trace id
+// (header) out and imports the worker's event list from the final frame,
+// rebased onto the local timeline at the moment the request started.
 func (t *HTTP) QueryStream(ctx context.Context, shard int, q core.Query,
 	ctrl *StreamControl, emit func(StreamBatch)) (core.Answer, error) {
 
@@ -1298,13 +1199,6 @@ func (t *HTTP) QueryStream(ctx context.Context, shard int, q core.Query,
 		sendAck(wireStreamAck{Ack: f.Seq, Floor: ctrl.Floor(), Granted: granted, Answered: answered})
 	}
 }
-
-// LiveBudget: remote workers draw from the coordinator's budget pool
-// mid-run through the grant protocol on the ack stream, so budget
-// refunded by cut shards reaches still-running workers instead of
-// stranding — a budgeted sharded run now evaluates at least as many
-// candidates as a single-engine run with the same budget.
-func (t *HTTP) LiveBudget() bool { return true }
 
 // ScoreSketch returns the cached per-shard score sketch, refreshed on
 // every successful score/edit fan-out and invalidated (nil) when a

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -174,14 +176,41 @@ func TestWorkerHandlerErrors(t *testing.T) {
 	}
 	defer transport.Close()
 
-	// Invalid queries surface the worker's message, not a decode error.
-	if _, err := transport.Query(context.Background(), 0, core.Query{K: 0, Aggregate: core.Sum}); err == nil {
-		t.Fatal("k=0 accepted by worker")
-	}
-	if _, err := transport.Query(context.Background(), 0, core.Query{K: 5, Aggregate: core.Max, Algorithm: core.AlgoForward}); err == nil {
-		t.Fatal("MAX/Forward accepted by worker")
+	// Invalid queries surface the worker's message, not a decode error,
+	// and fail before the worker streams any batch.
+	for _, c := range []struct {
+		q    core.Query
+		want string
+	}{
+		{core.Query{K: 0, Aggregate: core.Sum}, "k must be positive"},
+		{core.Query{K: 5, Aggregate: core.Max, Algorithm: core.AlgoForward}, "does not support MAX"},
+	} {
+		batches := 0
+		_, err := transport.QueryStream(context.Background(), 0, c.q, &StreamControl{}, func(StreamBatch) { batches++ })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%+v: err = %v, want the worker's %q", c.q, err, c.want)
+		}
+		if batches != 0 {
+			t.Fatalf("%+v: worker streamed %d batches before failing", c.q, batches)
+		}
 	}
 	if _, err := transport.UpperBound(context.Background(), 0, core.Aggregate(77)); err == nil {
 		t.Fatal("unknown aggregate bound accepted by worker")
+	}
+}
+
+// TestWholeShardRouteGone: shard queries are served only as streams; the
+// whole-answer route no longer exists.
+func TestWholeShardRouteGone(t *testing.T) {
+	g := gen.BarabasiAlbert(100, 2, 5)
+	shards, _, err := BuildShards(g, testScores(100, 5), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := httptest.NewRecorder()
+	body := strings.NewReader(`{"k":5,"aggregate":"sum"}`)
+	NewWorker(shards[0]).Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/shard/query", body))
+	if rw.Code != http.StatusNotFound {
+		t.Fatalf("POST /v1/shard/query answered %d, want 404", rw.Code)
 	}
 }

@@ -157,38 +157,21 @@ func (s *Shard) localOf(v int) int32 {
 	return s.localIndex[v]
 }
 
-// Run executes q against the shard in global-id terms: candidates are
-// intersected with the shard's owned nodes and translated to local ids,
-// and results are translated back. The monotone id remap preserves the
-// (value desc, id asc) tie-break, so merging per-shard answers
+// RunStream executes q against the shard in global-id terms: candidates
+// are intersected with the shard's owned nodes and translated to local
+// ids, and results are translated back. The monotone id remap preserves
+// the (value desc, id asc) tie-break, so merging per-shard answers
 // reconstructs the single-engine ordering exactly. An empty candidate
 // intersection — q names only nodes owned elsewhere — returns an empty
 // answer without touching the engine.
-func (s *Shard) Run(ctx context.Context, q core.Query) (core.Answer, error) {
-	lq, ok, err := s.localize(q)
-	if err != nil {
-		return core.Answer{}, err
-	}
-	if !ok {
-		return core.Answer{Results: []core.Result{}}, nil
-	}
-	ans, err := s.engine.Run(ctx, lq)
-	if err != nil {
-		return core.Answer{}, err
-	}
-	for i := range ans.Results {
-		ans.Results[i].Node = s.toGlobal[ans.Results[i].Node]
-	}
-	return ans, nil
-}
-
-// RunStream is Run with the streaming hooks attached: partial batches
-// (translated to global ids) flow to emit as the engine certifies
-// results, the external merge threshold λ flows in through floor, and —
-// when the query carries a budget — extra draws replacement traversals
-// from the coordinator's redistribution pool once the shard's own slice
-// is spent. floor and extra may be nil. emit is invoked synchronously
-// from the executing goroutine, strictly before Run returns.
+//
+// Partial batches (translated to global ids) flow to emit as the engine
+// certifies results, the external merge threshold λ flows in through
+// floor, and — when the query carries a budget — extra draws replacement
+// traversals from the coordinator's redistribution pool once the shard's
+// own slice is spent. floor and extra may be nil. emit is invoked
+// synchronously from the executing goroutine, strictly before RunStream
+// returns.
 func (s *Shard) RunStream(ctx context.Context, q core.Query, floor core.FloorProvider,
 	extra core.BudgetSource, emit func(StreamBatch)) (core.Answer, error) {
 

@@ -115,21 +115,6 @@ func (c *StreamControl) TakeBudget(want int) int {
 	}
 }
 
-// TakeShare consumes a 1/parts share (rounded up) of the current pool —
-// the up-front slice handed to a launching shard on transports that
-// cannot draw from the pool mid-run (HTTP workers).
-func (c *StreamControl) TakeShare(parts int) int {
-	if parts <= 0 {
-		return 0
-	}
-	cur := c.pool.Load()
-	if cur <= 0 {
-		return 0
-	}
-	want := (int(cur) + parts - 1) / parts
-	return c.TakeBudget(want)
-}
-
 // Redistributed reports how many traversals were handed back out of the
 // pool over the fan-out's lifetime.
 func (c *StreamControl) Redistributed() int {

@@ -15,14 +15,11 @@ import (
 	"repro/internal/gen"
 )
 
-// TestStreamingVsWholeShard compares the two merge modes against each
-// other and the single engine: streaming (within-shard cuts, the
-// default) and whole-shard answers (PR 3's behavior) must both stay
-// byte-identical to Engine.Run for every aggregate, algorithm, and shard
-// count. The default-mode matrix is also covered by
-// TestCoordinatorMatchesEngine; this test keeps the non-streaming path
-// from rotting behind the flag.
-func TestStreamingVsWholeShard(t *testing.T) {
+// TestStreamingMatchesEngine: the streaming merge (partial batches,
+// within-shard cuts) stays byte-identical to Engine.Run for every
+// aggregate, algorithm, and shard count on a hub-heavy graph, and every
+// run actually folds partial batches.
+func TestStreamingMatchesEngine(t *testing.T) {
 	const h, k = 2, 10
 	g := gen.BarabasiAlbert(700, 3, 41)
 	scores := testScores(g.NumNodes(), 41)
@@ -37,7 +34,6 @@ func TestStreamingVsWholeShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		streaming := NewCoordinator(local, Options{})
-		whole := NewCoordinator(local, Options{DisableStreaming: true})
 		for _, agg := range allAggregates {
 			for _, algo := range append([]core.Algorithm{core.AlgoAuto}, core.Algorithms...) {
 				if !supportsAgg(algo, agg) {
@@ -53,15 +49,10 @@ func TestStreamingVsWholeShard(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameResults(t, label+"/streaming", got.Results, want.Results)
-				if parts > 0 && bd.PartialBatches == 0 {
+				assertSameResults(t, label, got.Results, want.Results)
+				if bd.PartialBatches == 0 {
 					t.Fatalf("%s: streaming run folded no partial batches", label)
 				}
-				gotWhole, err := whole.Run(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResults(t, label+"/whole-shard", gotWhole.Results, want.Results)
 			}
 		}
 	}

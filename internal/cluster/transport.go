@@ -50,24 +50,19 @@ type Transport interface {
 
 // QueryView is one query's consistent view of the shard set.
 type QueryView interface {
-	// Query executes q (global ids, coordinator-split budget) on a shard.
-	Query(ctx context.Context, shard int, q core.Query) (core.Answer, error)
-	// QueryStream executes q on a shard, streaming partial top-k batches
-	// to emit as the shard certifies results (emit may be called from the
-	// transport's goroutine and must be safe to call until QueryStream
-	// returns). The shard observes ctrl's threshold λ while running — via
-	// a shared atomic in-process, piggybacked on stream acks over HTTP —
-	// so the coordinator's merge can cut work inside the shard mid-query.
+	// QueryStream executes q (global ids, coordinator-split budget) on a
+	// shard, streaming partial top-k batches to emit as the shard
+	// certifies results (emit may be called from the transport's
+	// goroutine and must be safe to call until QueryStream returns). The
+	// shard observes ctrl's threshold λ while running — via a shared
+	// atomic in-process, piggybacked on stream acks over HTTP — so the
+	// coordinator's merge can cut work inside the shard mid-query, and
+	// draws from ctrl's budget redistribution pool mid-run — directly
+	// in-process, through the demand-driven grant protocol over HTTP.
 	QueryStream(ctx context.Context, shard int, q core.Query, ctrl *StreamControl,
 		emit func(StreamBatch)) (core.Answer, error)
 	// UpperBound returns the shard's certified merge bound for agg.
 	UpperBound(ctx context.Context, shard int, agg core.Aggregate) (float64, error)
-	// LiveBudget reports whether QueryStream queries can draw from ctrl's
-	// budget redistribution pool mid-run — directly in-process, or through
-	// the demand-driven grant protocol over the stream's ack channel
-	// (HTTP). When false, the coordinator falls back to handing each
-	// launching shard its pool share up front.
-	LiveBudget() bool
 	// ScoreSketch returns the shard's owned-score sketch for λ-priming,
 	// or nil when none is available (a legacy worker, a failed refresh
 	// after an update fan-out). A nil sketch only weakens the primed λ —
@@ -183,11 +178,6 @@ func (l *Local) Nodes() int { return l.set.Load().nodes }
 // Snapshot pins the current shard generation for one query.
 func (l *Local) Snapshot() QueryView { return l.set.Load() }
 
-// Query runs q directly against the shard.
-func (ss *shardSet) Query(ctx context.Context, shard int, q core.Query) (core.Answer, error) {
-	return ss.shards[shard].Run(ctx, q)
-}
-
 // QueryStream runs q against the shard with the streaming hooks wired
 // straight through: the engine reads λ from ctrl's atomic and draws
 // budget top-ups from its pool with no protocol in between.
@@ -195,10 +185,6 @@ func (ss *shardSet) QueryStream(ctx context.Context, shard int, q core.Query,
 	ctrl *StreamControl, emit func(StreamBatch)) (core.Answer, error) {
 	return ss.shards[shard].RunStream(ctx, q, ctrl, ctrl, emit)
 }
-
-// LiveBudget: in-process shard queries draw from the redistribution pool
-// on demand.
-func (ss *shardSet) LiveBudget() bool { return true }
 
 // ScoreSketch reads the shard's memoized owned-score sketch. The shard
 // set is an immutable generation, so the sketch is exact for the scores

@@ -217,7 +217,7 @@ func (e *Engine) runBackward(x *exec) (Answer, error) {
 			boundSum += fRest * unknown
 		}
 		heapNode = append(heapNode, int32(v))
-		heapBound = append(heapBound, finishValue(agg, boundSum, nix.N(v)))
+		heapBound = append(heapBound, finishValue(agg, reorderSlack(boundSum, nix.N(v)), nix.N(v)))
 	}
 	heapifyCandidates(heapNode, heapBound)
 
@@ -347,5 +347,19 @@ func (e *Engine) BackwardBound(v int, agg Aggregate, gamma float64) float64 {
 	if unknown > 0 {
 		boundSum += fRest * unknown
 	}
-	return finishValue(agg, boundSum, nix.N(v))
+	return finishValue(agg, reorderSlack(boundSum, nix.N(v)), nix.N(v))
+}
+
+// reorderSlack widens a bound summed over terms non-negative values so
+// it stays admissible against the exact aggregate, which sums the same
+// values in a different order (BFS order, not distribution order).
+// Recursive summation of m non-negative terms lands within (m−1)·u of
+// the real sum, relative, with u = 2⁻⁵³; covering the bound's rounding
+// and the evaluator's takes 2(m−1)·u, and the 2(m+1)·u used here also
+// absorbs the rounding of the product itself. Without it a node whose
+// bound rounds one ulp below its own exact value can be left unverified
+// behind a strict stop, and a value tie then resolves differently than
+// Base.
+func reorderSlack(sum float64, terms int) float64 {
+	return sum * (1 + float64(terms+1)*0x1p-52)
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/relevance"
 )
 
 // exactValue computes F(u) with a fresh traverser, independent of any
@@ -66,7 +69,7 @@ func TestBackwardBoundAdmissible(t *testing.T) {
 		for _, agg := range aggs {
 			for _, gamma := range gammas {
 				for v := 0; v < n; v++ {
-					if e.BackwardBound(v, agg, gamma) < exactValue(e, v, agg)-1e-9 {
+					if e.BackwardBound(v, agg, gamma) < exactValue(e, v, agg) {
 						t.Logf("seed=%d %v γ=%v: bound(%d)=%v < exact=%v",
 							seed, agg, gamma, v, e.BackwardBound(v, agg, gamma), exactValue(e, v, agg))
 						return false
@@ -97,6 +100,32 @@ func TestBackwardBoundExactAtGammaZero(t *testing.T) {
 				t.Fatalf("trial %d node %d: γ=0 bound %v != exact %v", trial, v, bound, exact)
 			}
 		}
+	}
+}
+
+// TestBackwardTieUnderReordering is the reordered-sum regression: on
+// this dataset node 7857's AVG bound, summed in distribution order, came
+// out one ulp below its exact value summed in BFS order, so the strict
+// verification stop fired before 7857 was verified and node 17405 — the
+// same value, a larger id — took rank 90 instead of it.
+func TestBackwardTieUnderReordering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 20k-node engine")
+	}
+	g := gen.Collaboration(gen.DatasetScale(0.5), 20100301)
+	scores := relevance.Mixture(g, relevance.MixtureParams{BlackingRatio: 0.01}, 20100302)
+	e := mustEngine(t, g, scores, 2)
+	for _, algo := range []Algorithm{AlgoBase, AlgoBackward} {
+		ans, err := e.Run(context.Background(), Query{Algorithm: algo, K: 90, Aggregate: Avg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ans.Results[89]; got.Node != 7857 || got.Value != 0.19249352982416676 {
+			t.Fatalf("%v rank 90 = %+v, want node 7857 at 0.19249352982416676", algo, got)
+		}
+	}
+	if b, v := e.BackwardBound(7857, Avg, 0), exactValue(e, 7857, Avg); b < v {
+		t.Fatalf("bound(7857) = %v below its exact value %v", b, v)
 	}
 }
 

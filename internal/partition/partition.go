@@ -1,23 +1,18 @@
-// Package partition implements the infrastructure the paper says it is
-// "currently developing": partitioning a large network into subnetworks
-// and distributing the aggregation workload across machines. Machines are
-// simulated — each partition runs in its own goroutine with its own
-// traverser, and every arc that crosses a partition boundary during
-// neighborhood expansion is accounted as a network message — so the
-// experiments report both wall-clock speedup and communication volume
-// (benchmark A6).
+// Package partition splits a large network into parts — the first half
+// of the infrastructure the paper says it is "currently developing":
+// partitioning the network into subnetworks and distributing the
+// aggregation workload across machines. BFSGrow grows balanced,
+// connected parts and Refine trims their boundaries; internal/cluster
+// builds one shard per part (its h-hop closure) and runs the distributed
+// aggregation over them.
 package partition
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
 
-	"repro/internal/core"
 	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/topk"
 )
 
 // Partitioning assigns every node to one of P parts.
@@ -136,235 +131,6 @@ func BFSGrow(g *graph.Graph, parts int) (*Partitioning, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// Stats summarizes a distributed execution.
-type Stats struct {
-	Parts       int
-	EdgeCut     int   // structural cut of the partitioning
-	Messages    int64 // boundary crossings during neighborhood expansion
-	MaxPartWork int   // nodes visited by the busiest part (critical path)
-	TotalWork   int   // nodes visited across all parts
-}
-
-// Executor runs Base-style top-k aggregation with the node set sharded by
-// a Partitioning: each part evaluates the nodes it owns on its own
-// goroutine (its own simulated machine), counting every expansion step
-// that crosses a partition boundary as a message. Results merge into one
-// top-k list identical to single-machine Base.
-//
-// The executor traverses the full shared graph and has exactly one
-// strategy, a distributed naive scan — it exists to measure communication
-// volume against partition quality (ablation A6). internal/cluster is the
-// serving-grade counterpart: partition-local engines over ghost-node
-// closures, every core algorithm, and real process separation.
-type Executor struct {
-	g      *graph.Graph
-	scores []float64
-	h      int
-	p      *Partitioning
-}
-
-// NewExecutor validates and builds a distributed executor.
-func NewExecutor(g *graph.Graph, scores []float64, h int, p *Partitioning) (*Executor, error) {
-	if h < 0 {
-		return nil, fmt.Errorf("partition: negative hop radius %d", h)
-	}
-	if len(scores) != g.NumNodes() {
-		return nil, fmt.Errorf("partition: %d scores for %d nodes", len(scores), g.NumNodes())
-	}
-	if err := p.Validate(g); err != nil {
-		return nil, err
-	}
-	return &Executor{g: g, scores: scores, h: h, p: p}, nil
-}
-
-// ctxPollEvery matches core's cancellation cadence: each part polls its
-// context every 64 evaluations (each one h-hop traversal, the same unit
-// core's meter ticks on), so cancellation lands within at most 64 BFS
-// expansions per part.
-const ctxPollEvery = 64
-
-// SplitBudget divides a query's traversal budget evenly across parts,
-// deterministically by part index: total/parts each, the remainder going
-// to the lowest indexes, and — when any budget is set — a floor of one
-// per part, because a literal zero means "unlimited" to core's meter.
-// Returns all zeros (unlimited everywhere) when total <= 0. Shared by
-// this executor and cluster's coordinator so the two distribution layers
-// cannot drift.
-func SplitBudget(total, parts int) []int {
-	budgets := make([]int, parts)
-	if total <= 0 {
-		return budgets
-	}
-	base, extra := total/parts, total%parts
-	for i := range budgets {
-		budgets[i] = base
-		if i < extra {
-			budgets[i]++
-		}
-		if budgets[i] == 0 {
-			budgets[i] = 1
-		}
-	}
-	return budgets
-}
-
-// Run executes the distributed query — the same context-aware
-// Run(ctx, Query) shape as Engine, Planner, View, and cluster.Coordinator.
-// All aggregates are supported; the Algorithm field is ignored (the
-// executor's one strategy is the distributed naive scan). Candidates
-// restrict which owned nodes each part ranks, and Budget splits evenly
-// across parts (each keeping a floor of one evaluation), with
-// Answer.Truncated reporting any part that ran out.
-//
-// The merged Answer is byte-identical to single-machine Base: every part
-// evaluates its owned nodes with the same full-graph BFS, so values,
-// ordering, and tie-breaks cannot drift.
-func (x *Executor) Run(ctx context.Context, q core.Query) (core.Answer, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if q.K <= 0 {
-		return core.Answer{}, Stats{}, fmt.Errorf("partition: k must be positive, got %d", q.K)
-	}
-	if q.Budget < 0 {
-		return core.Answer{}, Stats{}, fmt.Errorf("partition: negative budget %d", q.Budget)
-	}
-	switch q.Aggregate {
-	case core.Sum, core.Avg, core.WeightedSum, core.Count, core.Max:
-	default:
-		return core.Answer{}, Stats{}, fmt.Errorf("partition: unknown aggregate %v", q.Aggregate)
-	}
-	n := x.g.NumNodes()
-	var cand []bool
-	if len(q.Candidates) > 0 {
-		cand = make([]bool, n)
-		for _, v := range q.Candidates {
-			if v < 0 || v >= n {
-				return core.Answer{}, Stats{}, fmt.Errorf("partition: candidate node %d out of range [0,%d)", v, n)
-			}
-			cand[v] = true
-		}
-	}
-
-	// Owned node lists per part.
-	owned := make([][]int32, x.p.P)
-	for v := 0; v < n; v++ {
-		part := x.p.PartOf(v)
-		owned[part] = append(owned[part], int32(v))
-	}
-
-	budgets := SplitBudget(q.Budget, x.p.P)
-
-	type partResult struct {
-		items     []topk.Item
-		stats     core.QueryStats
-		messages  int64
-		work      int
-		truncated bool
-	}
-	results := make([]partResult, x.p.P)
-	var wg sync.WaitGroup
-	for part := 0; part < x.p.P; part++ {
-		wg.Add(1)
-		go func(part int) {
-			defer wg.Done()
-			t := graph.NewTraverser(x.g)
-			list := topk.New(q.K)
-			r := partResult{}
-			budget := budgets[part]
-			for i, u32 := range owned[part] {
-				u := int(u32)
-				if cand != nil && !cand[u] {
-					continue
-				}
-				if i%ctxPollEvery == 0 && ctx.Err() != nil {
-					return // the merge re-reads ctx.Err and reports it
-				}
-				if q.Budget > 0 {
-					if budget == 0 {
-						r.truncated = true
-						break
-					}
-					budget--
-				}
-				value, size := x.evaluate(t, u, part, q.Aggregate, &r.messages)
-				r.stats.Evaluated++
-				r.stats.Visited += size
-				r.work += size
-				list.Offer(u, value)
-			}
-			r.items = list.Items()
-			results[part] = r
-		}(part)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return core.Answer{}, Stats{}, err
-	}
-
-	merged := topk.New(q.K)
-	ans := core.Answer{}
-	stats := Stats{Parts: x.p.P, EdgeCut: x.p.EdgeCut(x.g)}
-	for _, r := range results {
-		for _, it := range r.items {
-			merged.Offer(it.Node, it.Value)
-		}
-		ans.Stats.Evaluated += r.stats.Evaluated
-		ans.Stats.Visited += r.stats.Visited
-		ans.Truncated = ans.Truncated || r.truncated
-		stats.Messages += r.messages
-		stats.TotalWork += r.work
-		if r.work > stats.MaxPartWork {
-			stats.MaxPartWork = r.work
-		}
-	}
-	ans.Results = merged.Items()
-	return ans, stats, nil
-}
-
-// evaluate computes u's aggregate with one BFS on the shared graph,
-// counting every visit to a node owned elsewhere as a boundary message
-// (shipping the frontier across the partition boundary).
-func (x *Executor) evaluate(t *graph.Traverser, u, part int, agg core.Aggregate, messages *int64) (value float64, size int) {
-	var sum, max float64
-	count := 0
-	t.VisitWithin(u, x.h, func(v, dist int) {
-		size++
-		if x.p.PartOf(v) != part {
-			*messages++
-		}
-		s := x.scores[v]
-		switch agg {
-		case core.Sum, core.Avg:
-			sum += s
-		case core.WeightedSum:
-			if dist <= 1 {
-				sum += s
-			} else {
-				sum += s / float64(dist)
-			}
-		case core.Count:
-			if s > 0 {
-				count++
-			}
-		case core.Max:
-			if size == 1 || s > max {
-				max = s
-			}
-		}
-	})
-	switch agg {
-	case core.Sum, core.WeightedSum:
-		return sum, size
-	case core.Avg:
-		return sum / float64(size), size
-	case core.Count:
-		return float64(count), size
-	default: // core.Max
-		return max, size
-	}
 }
 
 // Balance returns the load imbalance of a partitioning: the largest part

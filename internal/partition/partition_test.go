@@ -1,14 +1,10 @@
 package partition
 
 import (
-	"context"
-	"math"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/relevance"
 )
 
 func TestBFSGrowCoversAllNodes(t *testing.T) {
@@ -75,102 +71,6 @@ func TestBFSGrowLocality(t *testing.T) {
 	// bounded; demand at least a 1.5× smaller cut than round-robin.
 	if got, rand := p.EdgeCut(g), random.EdgeCut(g); got*3 > rand*2 {
 		t.Fatalf("BFS cut %d not clearly better than random cut %d", got, rand)
-	}
-}
-
-func TestExecutorMatchesSingleMachineBase(t *testing.T) {
-	g := gen.Collaboration(0.02, 7) // ~800 nodes
-	scores := relevance.Mixture(g, relevance.MixtureParams{BlackingRatio: 0.02}, 7)
-	e, err := core.NewEngine(g, scores, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := e.Base(20, core.Sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 2, 4, 8} {
-		p, err := BFSGrow(g, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := NewExecutor(g, scores, 2, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ans, stats, err := x.Run(context.Background(), core.Query{K: 20, Aggregate: core.Sum})
-		got := ans.Results
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("parts=%d: %d results, want %d", parts, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Node != want[i].Node || math.Abs(got[i].Value-want[i].Value) > 1e-9 {
-				t.Fatalf("parts=%d row %d: got %+v want %+v", parts, i, got[i], want[i])
-			}
-		}
-		if parts == 1 && stats.Messages != 0 {
-			t.Fatalf("single part sent %d messages", stats.Messages)
-		}
-		if stats.TotalWork == 0 || stats.MaxPartWork == 0 {
-			t.Fatalf("parts=%d: empty work stats %+v", parts, stats)
-		}
-	}
-}
-
-func TestMessagesGrowWithParts(t *testing.T) {
-	g := gen.ErdosRenyi(1500, 4500, 11)
-	scores := relevance.Binary(1500, 0.1, 11)
-	var prev int64 = -1
-	for _, parts := range []int{1, 2, 4} {
-		p, err := BFSGrow(g, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := NewExecutor(g, scores, 2, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, stats, err := x.Run(context.Background(), core.Query{K: 10, Aggregate: core.Sum})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Messages < prev {
-			t.Fatalf("messages decreased when adding parts: %d after %d", stats.Messages, prev)
-		}
-		prev = stats.Messages
-	}
-	if prev == 0 {
-		t.Fatal("4-way partition of an ER graph sent zero messages")
-	}
-}
-
-func TestExecutorValidation(t *testing.T) {
-	g := gen.ErdosRenyi(20, 40, 13)
-	scores := relevance.Uniform(20, 0.5)
-	p, err := BFSGrow(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewExecutor(g, scores[:10], 2, p); err == nil {
-		t.Fatal("short scores accepted")
-	}
-	if _, err := NewExecutor(g, scores, -1, p); err == nil {
-		t.Fatal("negative h accepted")
-	}
-	bad := &Partitioning{P: 2, Assign: make([]int32, 20)}
-	bad.Assign[5] = 7
-	if _, err := NewExecutor(g, scores, 2, bad); err == nil {
-		t.Fatal("out-of-range assignment accepted")
-	}
-	x, err := NewExecutor(g, scores, 2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := x.Run(context.Background(), core.Query{K: 0, Aggregate: core.Sum}); err == nil {
-		t.Fatal("k=0 accepted")
 	}
 }
 

@@ -11,7 +11,8 @@ import "repro/internal/graph"
 // BFS growth (BFSGrow) gets locality right globally but leaves ragged
 // borders where its capacity counter flipped mid-frontier; one or two
 // refinement passes typically remove a large share of those cut edges —
-// ablation A6's message counts come straight down with them.
+// and with them the ghost nodes every shard closure replicates
+// (ablation A6).
 func Refine(g *graph.Graph, p *Partitioning, maxImbalance float64, maxPasses int) (moved int) {
 	if maxImbalance < 1 {
 		maxImbalance = 1

@@ -1,13 +1,9 @@
 package partition
 
 import (
-	"context"
-	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/relevance"
 )
 
 func TestRefineReducesCut(t *testing.T) {
@@ -64,75 +60,4 @@ func TestRefineNoOpCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	Refine(gen.ErdosRenyi(16, 0, 1), empty, 1.3, 3) // must not panic
-}
-
-func TestRefinedPartitionStillAnswersCorrectly(t *testing.T) {
-	g := gen.Collaboration(0.02, 27)
-	scores := relevance.Mixture(g, relevance.MixtureParams{BlackingRatio: 0.02}, 27)
-	e, err := core.NewEngine(g, scores, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := e.Base(10, core.Sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := BFSGrow(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Refine(g, p, 1.3, 3)
-	x, err := NewExecutor(g, scores, 2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, stats, err := x.Run(context.Background(), core.Query{K: 10, Aggregate: core.Sum})
-	got := ans.Results
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Node != want[i].Node || math.Abs(got[i].Value-want[i].Value) > 1e-9 {
-			t.Fatalf("row %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-	if stats.EdgeCut <= 0 {
-		t.Fatalf("refined 4-way partitioning reports cut %d", stats.EdgeCut)
-	}
-}
-
-func TestRefineReducesMessages(t *testing.T) {
-	g := gen.Collaboration(0.05, 29)
-	scores := relevance.Binary(g.NumNodes(), 0.1, 29)
-
-	raw, err := BFSGrow(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := BFSGrow(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Refine(g, refined, 1.3, 3)
-
-	xRaw, err := NewExecutor(g, scores, 2, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xRef, err := NewExecutor(g, scores, 2, refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sRaw, err := xRaw.Run(context.Background(), core.Query{K: 10, Aggregate: core.Sum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sRef, err := xRef.Run(context.Background(), core.Query{K: 10, Aggregate: core.Sum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sRef.Messages >= sRaw.Messages {
-		t.Fatalf("refinement did not reduce messages: %d -> %d", sRaw.Messages, sRef.Messages)
-	}
 }

@@ -107,17 +107,6 @@ type Options struct {
 	// loads the full graph for the materialized view and update
 	// validation.
 	ShardWorkers []string
-	// DisableStreaming turns off partial-result streaming on the sharded
-	// query path (lonad -stream=false): shards then answer whole, and TA
-	// cuts land only between shards instead of inside them. Streaming is
-	// on by default for both -shards and -shard-peers serving.
-	DisableStreaming bool
-	// DisablePriming turns off sketch-based λ-priming on the sharded
-	// query path (lonad -prime=false): every query then launches with a
-	// cold λ, the pre-PR-9 behavior. Answers are byte-identical either
-	// way; the switch exists for apples-to-apples benchmarking and as an
-	// escape hatch.
-	DisablePriming bool
 	// SlowQuery, when positive, traces every execution and escalates the
 	// wide event of any query (or edit batch) at or over this duration to
 	// WARN (lonad -slow-query-ms). Zero disables both the escalation and
@@ -217,15 +206,6 @@ type genEntry struct {
 // retainDefault is the generation-ring depth when
 // Options.RetainGenerations is zero.
 const retainDefault = 8
-
-// clusterOptions maps the server's streaming and priming switches onto
-// the coordinator's.
-func (o Options) clusterOptions() cluster.Options {
-	return cluster.Options{
-		DisableStreaming: o.DisableStreaming,
-		DisablePriming:   o.DisablePriming,
-	}
-}
 
 // clusterState is one shard topology's serving state: the coordinator
 // plus the per-shard latency histograms /v1/stats reports. Replaced
@@ -399,7 +379,7 @@ func New(g *graph.Graph, scores []float64, h int, opts Options) (*Server, error)
 		if !opts.SkipIndexes {
 			local.PrepareIndexes(opts.Workers)
 		}
-		s.cl = newClusterState(cluster.NewCoordinator(local, opts.clusterOptions()), false)
+		s.cl = newClusterState(cluster.NewCoordinator(local, cluster.Options{}), false)
 	case len(opts.ShardWorkers) > 0:
 		transport, err := cluster.NewHTTP(context.Background(), opts.ShardWorkers, nil)
 		if err != nil {
@@ -413,7 +393,7 @@ func New(g *graph.Graph, scores []float64, h int, opts Options) (*Server, error)
 			return nil, fmt.Errorf("server: shard workers serve h=%d, this server runs h=%d — answers would mix radii",
 				transport.H(), h)
 		}
-		s.cl = newClusterState(cluster.NewCoordinator(transport, opts.clusterOptions()), true)
+		s.cl = newClusterState(cluster.NewCoordinator(transport, cluster.Options{}), true)
 	}
 	return s, nil
 }
@@ -468,7 +448,7 @@ func (s *Server) Reshard(parts int) error {
 	if !s.opts.SkipIndexes {
 		local.PrepareIndexes(s.opts.Workers)
 	}
-	s.cl = newClusterState(cluster.NewCoordinator(local, s.opts.clusterOptions()), false)
+	s.cl = newClusterState(cluster.NewCoordinator(local, cluster.Options{}), false)
 	s.topo++
 	s.metrics.reshards.Add(1)
 	return nil
@@ -1587,7 +1567,6 @@ func (s *Server) Stats() Stats {
 		cs := &ClusterStats{
 			Shards:              cl.shards,
 			Remote:              cl.remote,
-			Streaming:           !s.opts.DisableStreaming,
 			TopologyGen:         topo,
 			Reshards:            s.metrics.reshards.Load(),
 			EdgeCut:             topology.EdgeCut,

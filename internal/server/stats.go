@@ -270,9 +270,6 @@ type ClusterStats struct {
 	// shard closures.
 	EdgeCut       int   `json:"edge_cut,omitempty"`
 	BoundaryNodes int64 `json:"boundary_nodes"`
-	// Streaming reports whether shard queries stream partial batches (the
-	// default), letting TA cuts land inside running shards.
-	Streaming bool `json:"streaming"`
 	// ShardQueries / ShardsCut / Messages accumulate over every fan-out:
 	// shard queries launched, shards ended early by the TA merge bound,
 	// and cross-shard messages (bound probes, query round-trips, result

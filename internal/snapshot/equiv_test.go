@@ -144,11 +144,14 @@ func TestSnapshotEngineEquivalence(t *testing.T) {
 // a coordinator over shards rebuilt from per-shard snapshots must merge
 // to byte-identical answers against a coordinator over shards built
 // directly from the full graph, at P ∈ {2, 4}. Parallel=1 with the TA
-// cut and streaming off makes the merge schedule deterministic, so the
-// aggregated work counters are comparable exactly.
+// cut off and a pinned emission cadence makes the merge schedule
+// deterministic — in-process shards emit their batches on their own
+// goroutine, so every fold (and every λ the next traversal reads) lands
+// at the same point of each run — and the aggregated work counters are
+// comparable exactly.
 func TestSnapshotShardedEquivalence(t *testing.T) {
 	g, scores := equivDataset(t)
-	opts := cluster.Options{Parallel: 1, DisableCut: true, DisableStreaming: true}
+	opts := cluster.Options{Parallel: 1, DisableCut: true, PartialEvery: 64}
 
 	for _, parts := range []int{2, 4} {
 		t.Run(fmt.Sprintf("P=%d", parts), func(t *testing.T) {

@@ -337,8 +337,8 @@ func NewWorkerCoordinator(ctx context.Context, workers []string, opts Coordinato
 
 // NewShardWorkerHandler builds shard index of the parts-way partitioning
 // of (g, scores, h) and returns the HTTP handler serving it
-// (/v1/shard/query, /v1/shard/bound, /v1/shard/scores, /v1/shard/edits,
-// /v1/shard/health) — the worker half of the coordinator/worker
+// (/v1/shard/query/stream, /v1/shard/bound, /v1/shard/scores,
+// /v1/shard/edits, /v1/shard/replay, /v1/shard/health) — the worker half of the coordinator/worker
 // protocol, which cmd/lonad's -shard-worker mode mounts as a daemon. The
 // worker keeps the full graph alongside its shard, so structural edit
 // batches fanned out by the coordinator re-derive the same successor
