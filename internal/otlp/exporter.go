@@ -30,18 +30,19 @@ type ExporterOptions struct {
 	Logger *slog.Logger
 }
 
-// ExporterStats is the exporter's accounting, surfaced in /v1/stats.
+// ExporterStats is the exporter's accounting, surfaced in the server's
+// /v1/stats and, through the prom tags, on its /metrics.
 type ExporterStats struct {
 	// Exported counts batches delivered to the collector (2xx).
-	Exported int64 `json:"exported"`
+	Exported int64 `json:"exported" prom:"lona_otlp_exported_total,counter,OTLP span batches delivered to the collector."`
 	// Dropped counts batches discarded because the queue was full.
-	Dropped int64 `json:"dropped"`
+	Dropped int64 `json:"dropped" prom:"lona_otlp_dropped_total,counter,OTLP span batches dropped by the full export queue."`
 	// Sampled counts batches skipped by the sampling ratio.
-	Sampled int64 `json:"sampled_out"`
+	Sampled int64 `json:"sampled_out" prom:"lona_otlp_sampled_out_total,counter,OTLP span batches skipped by the sampling ratio."`
 	// Failed counts batches the collector refused or the POST lost.
-	Failed int64 `json:"failed"`
+	Failed int64 `json:"failed" prom:"lona_otlp_failed_total,counter,OTLP span batches the collector refused or the POST lost."`
 	// QueueLen is the current backlog.
-	QueueLen int `json:"queue_len"`
+	QueueLen int `json:"queue_len" prom:"lona_otlp_queue_len,gauge,OTLP export queue backlog."`
 }
 
 // Exporter ships OTLP/JSON batches to a collector from a single

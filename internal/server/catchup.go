@@ -121,8 +121,8 @@ func (s *Server) catchUpLocked(ctx context.Context) (*CatchUpResult, error) {
 		}
 		res.Workers = append(res.Workers, wc)
 	}
-	s.metrics.catchups.Add(1)
-	s.metrics.catchupCommits.Add(int64(res.Commits))
+	s.metrics.journal.Catchups.Add(1)
+	s.metrics.journal.CatchupCommits.Add(int64(res.Commits))
 	res.ElapsedUS = time.Since(start).Microseconds()
 	return res, nil
 }

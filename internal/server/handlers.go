@@ -225,7 +225,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	status := http.StatusOK
-	if slo := s.sloStats(); slo != nil {
+	if slo := s.opts.SLO.stats(s.metrics.window.snapshot()); slo != nil {
 		body.SLO = slo
 		if slo.Burning {
 			// The process is alive (OK stays true) but violating its

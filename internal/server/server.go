@@ -438,7 +438,7 @@ func (s *Server) Reshard(parts int) error {
 	if parts == 1 {
 		s.cl = nil
 		s.topo++
-		s.metrics.reshards.Add(1)
+		s.metrics.cluster.Reshards.Add(1)
 		return nil
 	}
 	local, err := cluster.NewLocal(s.g, s.engine.Scores(), s.engine.H(), parts)
@@ -450,7 +450,7 @@ func (s *Server) Reshard(parts int) error {
 	}
 	s.cl = newClusterState(cluster.NewCoordinator(local, cluster.Options{}), false)
 	s.topo++
-	s.metrics.reshards.Add(1)
+	s.metrics.cluster.Reshards.Add(1)
 	return nil
 }
 
@@ -742,7 +742,7 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 				fmt.Errorf("as_of generation %d is not retained (oldest retained is %d, live is %d)",
 					req.AsOf, oldest, snap.gen)
 		}
-		s.metrics.asOfQueries.Add(1)
+		s.metrics.journal.AsOfQueries.Add(1)
 		snap = snapshot{gen: entry.gen, topo: entry.topo, engine: entry.engine}
 	}
 
@@ -750,9 +750,9 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 	if s.cache != nil {
 		if ans, ok := s.cache.get(key); ok {
 			if asOf {
-				s.metrics.asOfHits.Add(1)
+				s.metrics.journal.AsOfHits.Add(1)
 			}
-			s.metrics.hits.Add(1)
+			s.metrics.cache.Hits.Add(1)
 			s.metrics.hist("cache").observe(0)
 			hit := *ans
 			hit.Cached = true
@@ -779,7 +779,7 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 			s.metrics.noteQueryAborted(err)
 			return nil, wideevent.CacheBypass, err
 		}
-		s.metrics.misses.Add(1)
+		s.metrics.cache.Misses.Add(1)
 		return ans, wideevent.CacheBypass, nil
 	}
 
@@ -805,10 +805,10 @@ func (s *Server) runCached(ctx context.Context, req *QueryRequest) (*Answer, str
 		return nil, wideevent.CacheBypass, err
 	}
 	if shared {
-		s.metrics.collapsed.Add(1)
+		s.metrics.cache.Collapsed.Add(1)
 		return ans, wideevent.CacheCollapsed, nil
 	}
-	s.metrics.misses.Add(1)
+	s.metrics.cache.Misses.Add(1)
 	if s.cache == nil {
 		return ans, wideevent.CacheBypass, nil
 	}
@@ -986,7 +986,7 @@ func (s *Server) finishExecute(ans *Answer, req QueryRequest, rec *trace.Recorde
 	s.metrics.recordQuery(ans.Algorithm, elapsed, ans.Stats)
 	s.metrics.window.observe(elapsed, s.opts.SLO.enabled() && elapsed > s.opts.SLO.Latency)
 	if s.opts.SlowQuery > 0 && elapsed >= s.opts.SlowQuery {
-		s.metrics.slowQueries.Add(1)
+		s.metrics.root.SlowQueries.Add(1)
 		ans.slow = true
 	}
 	if rec != nil {
@@ -1030,21 +1030,21 @@ func (s *Server) dispatch(ctx context.Context, snap snapshot, ans *Answer, q cor
 	ans.Shards = snap.cl.shards
 	ans.perShard = bd.PerShard
 	ans.breakdown = &bd
-	s.metrics.clusterMessages.Add(bd.Messages)
-	s.metrics.shardsCut.Add(int64(bd.ShardsCut))
-	s.metrics.partialBatches.Add(bd.PartialBatches)
-	s.metrics.budgetRedistributed.Add(int64(bd.BudgetRedistributed))
-	s.metrics.lambdaRaises.Add(int64(bd.LambdaRaises))
+	s.metrics.cluster.Messages.Add(bd.Messages)
+	s.metrics.cluster.ShardsCut.Add(int64(bd.ShardsCut))
+	s.metrics.cluster.PartialBatches.Add(bd.PartialBatches)
+	s.metrics.cluster.BudgetRedistributed.Add(int64(bd.BudgetRedistributed))
+	s.metrics.cluster.LambdaRaises.Add(int64(bd.LambdaRaises))
 	s.metrics.lambdaPerQuery.observeValue(int64(bd.LambdaRaises))
 	if bd.LambdaPrimed > 0 {
-		s.metrics.lambdaPrimed.Add(1)
+		s.metrics.cluster.LambdaPrimed.Add(1)
 	}
-	s.metrics.grantRequests.Add(bd.GrantRequests)
+	s.metrics.cluster.GrantRequests.Add(bd.GrantRequests)
 	for _, r := range bd.PerShard {
 		if !r.Launched {
 			continue
 		}
-		s.metrics.shardQueries.Add(1)
+		s.metrics.cluster.ShardQueries.Add(1)
 		s.metrics.shardItems.observeValue(int64(r.Items))
 		if r.Shard < len(snap.cl.hists) {
 			d := time.Duration(r.ElapsedUS) * time.Microsecond
@@ -1211,8 +1211,8 @@ func (s *Server) applyScoresLocked(updates []ScoreUpdate) (*UpdateResult, error)
 	s.engine = engine
 	s.gen++
 	res.Generation = s.gen
-	s.metrics.updates.Add(1)
-	s.metrics.mutations.Add(int64(len(updates)))
+	s.metrics.root.UpdateBatches.Add(1)
+	s.metrics.root.Mutations.Add(int64(len(updates)))
 	s.retainGeneration()
 	return res, nil
 }
@@ -1236,7 +1236,7 @@ func (s *Server) journalAppendLocked(c journal.Commit) error {
 	if err := j.Append(c); err != nil {
 		return fmt.Errorf("journal append: %w", err)
 	}
-	s.metrics.journalAppends.Add(1)
+	s.metrics.journal.Appends.Add(1)
 	return nil
 }
 
@@ -1268,7 +1268,7 @@ func (s *Server) replayCommit(c journal.Commit) error {
 		// are appended the same way, so the numbering must line up.
 		return fmt.Errorf("replay produced generation %d, journal says %d (snapshot from a different lineage?)", s.gen, c.Gen)
 	}
-	s.metrics.journalReplayed.Add(1)
+	s.metrics.journal.Replayed.Add(1)
 	return nil
 }
 
@@ -1514,13 +1514,13 @@ func (s *Server) applyEditsLocked(ectx context.Context, edits []graph.Edit,
 	s.gen++
 	res.Generation = s.gen
 	res.Nodes, res.Edges = newG.NumNodes(), newG.NumEdges()
-	s.metrics.editBatches.Add(1)
-	s.metrics.edgesAdded.Add(int64(res.EdgesAdded))
-	s.metrics.edgesRemoved.Add(int64(res.EdgesRemoved))
-	s.metrics.nodesAdded.Add(int64(res.NodesAdded))
-	s.metrics.editRepaired.Add(int64(res.Repaired))
+	s.metrics.edits.Batches.Add(1)
+	s.metrics.edits.EdgesAdded.Add(int64(res.EdgesAdded))
+	s.metrics.edits.EdgesRemoved.Add(int64(res.EdgesRemoved))
+	s.metrics.edits.NodesAdded.Add(int64(res.NodesAdded))
+	s.metrics.edits.Repaired.Add(int64(res.Repaired))
 	if res.Rebuilt {
-		s.metrics.editRebuilds.Add(1)
+		s.metrics.edits.Rebuilds.Add(1)
 	}
 	s.retainGeneration()
 	return res, nil
@@ -1529,7 +1529,8 @@ func (s *Server) applyEditsLocked(ectx context.Context, edits []graph.Edit,
 // emitEditEvent renders one edit/update batch's canonical wide event —
 // the same escalation rules as queries: WARN past the slow threshold,
 // ERROR on failure — and returns it so callers can reuse the settled
-// slow flag. It also owns the slow-batch counter bump.
+// slow flag. Slow batches are not counted in Stats.SlowQueries, which
+// counts query executions only.
 func (s *Server) emitEditEvent(updates, edits int, mode string, gen uint64,
 	dur time.Duration, err error) wideevent.EditBatch {
 
@@ -1542,86 +1543,9 @@ func (s *Server) emitEditEvent(updates, edits int, mode string, gen uint64,
 	}
 	if s.opts.SlowQuery > 0 && dur >= s.opts.SlowQuery {
 		ev.Slow = true
-		s.metrics.slowQueries.Add(1)
 	}
 	ev.Log(context.Background(), s.log)
 	return ev
-}
-
-// Stats snapshots the serving metrics.
-func (s *Server) Stats() Stats {
-	st := s.metrics.snapshot()
-	s.mu.RLock()
-	st.Generation = s.gen
-	g := s.engine.Graph()
-	st.Nodes, st.Edges, st.H = g.NumNodes(), int64(g.NumEdges()), s.engine.H()
-	cl, topo := s.cl, s.topo
-	s.mu.RUnlock()
-	if s.cache != nil {
-		st.Cache.Entries = s.cache.len()
-		st.Cache.Bytes = s.cache.bytes()
-		st.Cache.CapacityBytes = s.cache.capacityBytes()
-	}
-	if cl != nil {
-		topology := cl.coord.Transport().Topology()
-		cs := &ClusterStats{
-			Shards:              cl.shards,
-			Remote:              cl.remote,
-			TopologyGen:         topo,
-			Reshards:            s.metrics.reshards.Load(),
-			EdgeCut:             topology.EdgeCut,
-			BoundaryNodes:       topology.BoundaryNodes,
-			ShardQueries:        s.metrics.shardQueries.Load(),
-			ShardsCut:           s.metrics.shardsCut.Load(),
-			Messages:            s.metrics.clusterMessages.Load(),
-			PartialBatches:      s.metrics.partialBatches.Load(),
-			BudgetRedistributed: s.metrics.budgetRedistributed.Load(),
-			LambdaRaises:        s.metrics.lambdaRaises.Load(),
-			LambdaPrimed:        s.metrics.lambdaPrimed.Load(),
-			GrantRequests:       s.metrics.grantRequests.Load(),
-		}
-		for i, h := range cl.hists {
-			sl := ShardLatency{Shard: i, Latency: h.summary()}
-			if i < len(topology.OwnedSizes) {
-				sl.Owned = topology.OwnedSizes[i]
-			}
-			cs.PerShard = append(cs.PerShard, sl)
-		}
-		st.Cluster = cs
-	}
-	st.Snapshot = s.snapshotStats()
-	st.Journal = s.journalStats()
-	st.LatencyWindow = s.metrics.window.snapshot().summary()
-	st.SLO = s.sloStats()
-	if exp := s.opts.TraceExporter; exp != nil {
-		es := exp.Stats()
-		st.OTLP = &es
-	}
-	return st
-}
-
-// journalStats assembles the versioned-lake section of /v1/stats.
-func (s *Server) journalStats() *JournalStats {
-	js := &JournalStats{
-		Appends:        s.metrics.journalAppends.Load(),
-		Replayed:       s.metrics.journalReplayed.Load(),
-		AsOfQueries:    s.metrics.asOfQueries.Load(),
-		AsOfHits:       s.metrics.asOfHits.Load(),
-		Catchups:       s.metrics.catchups.Load(),
-		CatchupCommits: s.metrics.catchupCommits.Load(),
-	}
-	if j := s.opts.Journal; j != nil {
-		js.Enabled = true
-		js.Depth = j.Depth()
-		js.LastGen = j.LastGen()
-	}
-	s.mu.RLock()
-	js.Retained = len(s.ring)
-	if len(s.ring) > 0 {
-		js.OldestRetained = s.ring[0].gen
-	}
-	s.mu.RUnlock()
-	return js
 }
 
 // ParseAggregate maps the wire name of an aggregate to core's enum; the

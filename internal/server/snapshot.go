@@ -72,7 +72,7 @@ func (s *Server) WriteSnapshot(path string) (*SnapshotResult, error) {
 			return nil, fmt.Errorf("snapshot written, but anchoring the journal failed: %w", err)
 		}
 	}
-	s.metrics.snapshotsWritten.Add(1)
+	s.metrics.snapshot.Written.Add(1)
 	return res, nil
 }
 
@@ -112,29 +112,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // server booted from (absent when it built its state from scratch) and
 // the snapshots it has persisted since.
 type SnapshotStats struct {
-	Source           string  `json:"source,omitempty"`
-	SourceModTime    string  `json:"source_mtime,omitempty"` // RFC3339
-	SourceBytes      int64   `json:"source_bytes,omitempty"`
-	SourceGeneration uint64  `json:"source_generation,omitempty"`
-	LoadMS           float64 `json:"load_ms,omitempty"` // mmap boot cost
-	Written          int64   `json:"written"`           // POST /v1/snapshot persists
+	*SnapshotSourceStats
+	Written int64 `json:"written" prom:"lona_snapshots_written_total,counter,Snapshots persisted via /v1/snapshot."`
 }
 
-// snapshotStats assembles the stats section, or nil when the server
-// neither booted from a snapshot nor wrote one.
-func (s *Server) snapshotStats() *SnapshotStats {
-	written := s.metrics.snapshotsWritten.Load()
-	src := s.opts.SnapshotSource
-	if src == nil && written == 0 {
-		return nil
-	}
-	st := &SnapshotStats{Written: written}
-	if src != nil {
-		st.Source = src.Path
-		st.SourceModTime = src.ModTime.UTC().Format(time.RFC3339)
-		st.SourceBytes = src.Bytes
-		st.SourceGeneration = src.Generation
-		st.LoadMS = float64(src.LoadDuration.Microseconds()) / 1000
-	}
-	return st
+// SnapshotSourceStats describes the snapshot file the server booted from.
+type SnapshotSourceStats struct {
+	Source        string `json:"source,omitempty"`
+	SourceModTime string `json:"source_mtime,omitempty"` // RFC3339
+	// SourceMTime is SourceModTime in Unix seconds, for /metrics.
+	SourceMTime      int64   `json:"-" prom:"lona_snapshot_source_mtime_seconds,gauge,Unix mtime of the snapshot file the server booted from."`
+	SourceBytes      int64   `json:"source_bytes,omitempty" prom:"lona_snapshot_source_bytes,gauge,Size of the snapshot file the server booted from."`
+	SourceGeneration uint64  `json:"source_generation,omitempty" prom:"lona_snapshot_source_generation,gauge,Score generation stamped into the boot snapshot."`
+	LoadMS           float64 `json:"load_ms,omitempty" prom:"lona_snapshot_load_seconds,gauge,Time to map and validate the boot snapshot."` // mmap boot cost
 }

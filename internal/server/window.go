@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +9,7 @@ import (
 // This file implements the rolling-window side of the latency story. The
 // cumulative latencyHist answers "since boot"; windowHist answers "right
 // now": a ring of windowSlots slots, each covering windowSlotSeconds of
-// wall time with the same log2 atomic buckets. Observations land in the
+// wall time with the same log2 latencyHist. Observations land in the
 // slot for the current epoch (unix seconds / slot length); reads sum
 // only slots whose epoch is still inside the window, so old traffic ages
 // out in slot-sized steps instead of accumulating forever. The per-slot
@@ -28,20 +27,14 @@ const (
 // counters belong to; a slot whose epoch has fallen out of the window is
 // dead weight until rotation recycles it.
 type windowSlot struct {
-	epoch   atomic.Int64
-	count   atomic.Int64
-	sumUS   atomic.Int64
-	over    atomic.Int64
-	buckets [48]atomic.Int64
+	epoch atomic.Int64
+	over  atomic.Int64
+	hist  latencyHist
 }
 
 func (s *windowSlot) reset(epoch int64) {
-	s.count.Store(0)
-	s.sumUS.Store(0)
+	s.hist.reset()
 	s.over.Store(0)
-	for i := range s.buckets {
-		s.buckets[i].Store(0)
-	}
 	s.epoch.Store(epoch)
 }
 
@@ -79,18 +72,8 @@ func (w *windowHist) currentSlot(epoch int64) *windowSlot {
 
 // observe records one latency; over marks it past the SLO objective.
 func (w *windowHist) observe(d time.Duration, over bool) {
-	v := d.Microseconds()
-	if v < 0 {
-		v = 0
-	}
-	i := bits.Len64(uint64(v))
 	s := w.currentSlot(w.epochNow())
-	if i >= len(s.buckets) {
-		i = len(s.buckets) - 1
-	}
-	s.count.Add(1)
-	s.sumUS.Add(v)
-	s.buckets[i].Add(1)
+	s.hist.observe(d)
 	if over {
 		s.over.Add(1)
 	}
@@ -98,10 +81,8 @@ func (w *windowHist) observe(d time.Duration, over bool) {
 
 // windowSnapshot is the summed view of every slot still in the window.
 type windowSnapshot struct {
-	counts [48]int64
-	count  int64
-	sumUS  int64
-	over   int64
+	histCounts
+	over int64
 }
 
 // snapshot sums the live slots. Slots with epochs outside
@@ -109,51 +90,17 @@ type windowSnapshot struct {
 // zeroed eagerly, expired slots simply stop being counted.
 func (w *windowHist) snapshot() windowSnapshot {
 	cur := w.epochNow()
-	min := cur - windowSlots + 1
+	oldest := cur - windowSlots + 1
 	var out windowSnapshot
 	for i := range w.slot {
 		s := &w.slot[i]
-		if e := s.epoch.Load(); e < min || e > cur {
+		if e := s.epoch.Load(); e < oldest || e > cur {
 			continue
 		}
-		out.count += s.count.Load()
-		out.sumUS += s.sumUS.Load()
+		out.add(s.hist.load())
 		out.over += s.over.Load()
-		for j := range s.buckets {
-			out.counts[j] += s.buckets[j].Load()
-		}
 	}
 	return out
-}
-
-// quantile mirrors latencyHist.quantile on the summed window: the
-// bucket-upper-bound estimate in µs.
-func (ws windowSnapshot) quantile(q float64) float64 {
-	if ws.count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(ws.count))
-	if rank >= ws.count {
-		rank = ws.count - 1
-	}
-	var seen int64
-	for i := range ws.counts {
-		seen += ws.counts[i]
-		if seen > rank {
-			return float64(uint64(1) << i)
-		}
-	}
-	return float64(uint64(1) << (len(ws.counts) - 1))
-}
-
-// summary renders the window for /v1/stats, shape-compatible with the
-// cumulative LatencySummary.
-func (ws windowSnapshot) summary() LatencySummary {
-	s := LatencySummary{Count: ws.count, P50US: ws.quantile(0.50), P99US: ws.quantile(0.99)}
-	if ws.count > 0 {
-		s.MeanUS = float64(ws.sumUS) / float64(ws.count)
-	}
-	return s
 }
 
 // SLO is a latency service-level objective: Target fraction of queries
@@ -187,23 +134,21 @@ func (o SLO) burnRate(ws windowSnapshot) float64 {
 // SLOStats is the SLO section of /v1/stats and /v1/health: the rolling
 // window judged against the configured objective.
 type SLOStats struct {
-	LatencyMS     float64 `json:"latency_ms"`     // the objective
-	Target        float64 `json:"target"`         // required fraction under it
+	LatencyMS     float64 `json:"latency_ms" prom:"lona_slo_objective_seconds,gauge,Configured per-query latency objective."`
+	Target        float64 `json:"target" prom:"lona_slo_target,gauge,Required fraction of window queries under the objective."`
 	WindowSeconds int     `json:"window_seconds"` // rolling window length
 	WindowQueries int64   `json:"window_queries"` // queries in the window
-	WindowOver    int64   `json:"window_over"`    // of those, over the objective
-	BurnRate      float64 `json:"burn_rate"`      // error-budget burn rate
-	Burning       bool    `json:"burning"`        // burn rate >= 1: actively violating
+	WindowOver    int64   `json:"window_over" prom:"lona_slo_window_over,gauge,Window queries over the latency objective."`
+	BurnRate      float64 `json:"burn_rate" prom:"lona_slo_burn_rate,gauge,Error-budget burn rate over the rolling window (>=1 violates the SLO)."`
+	Burning       bool    `json:"burning"` // burn rate >= 1: actively violating
 }
 
-// sloStats judges the current window against the configured objective;
-// nil when no SLO is configured.
-func (s *Server) sloStats() *SLOStats {
-	o := s.opts.SLO
+// stats judges the window against the objective; nil when no SLO is
+// configured.
+func (o SLO) stats(ws windowSnapshot) *SLOStats {
 	if !o.enabled() {
 		return nil
 	}
-	ws := s.metrics.window.snapshot()
 	burn := o.burnRate(ws)
 	return &SLOStats{
 		LatencyMS:     float64(o.Latency.Microseconds()) / 1000,
